@@ -1,18 +1,12 @@
-"""Columnar storage vs the tuple-at-a-time layer, same compiled plans.
+"""Columnar semi-naive evaluation on the recursive join workloads.
 
-The columnar join core (repro/datalog/columns.py) stores each relation as
-an append-only interned row array with per-column posting sets; semi-naive
-deltas become row-id range windows and multi-bound probes become composite
-lookups or batch posting-set intersections.  ``EngineOptions(storage=
-"tuple")`` is the ablation that runs the *same* specialised rule executors
-against the PR-2 indexed storage, so these workloads isolate what batch
-storage itself buys: no delta databases to build/clear/re-index, zero-copy
-delta windows, and zero-materialisation posting probes.
-
-Records ``columnar_*`` workloads into BENCH_engine.json and asserts the
-fixpoints agree exactly; the speed floor is deliberately modest (the tuple
-ablation shares the executor specialisation, so the storage-only gap is
-smaller than the headline ``reach_*`` numbers vs the PR-1 engine).
+The engine's one relation store (repro/datalog/columns.py) keeps each
+relation as an append-only interned row array with per-column posting
+sets and composite full-key indexes; semi-naive deltas are row-id range
+windows over those arrays.  These workloads time that path on chain and
+random-graph reachability and on same-generation, and record
+``columnar_*`` workloads into BENCH_engine.json together with the storage
+counters ``engine_info()`` reports.
 """
 
 from __future__ import annotations
@@ -21,7 +15,7 @@ import random
 import statistics
 import time
 
-from repro.datalog import EngineOptions, SemiNaiveEngine, parse_program
+from repro.datalog import SemiNaiveEngine, parse_program
 
 REACH_PROGRAM_TEXT = """
 reach(Y) :- source(X), edge(X, Y).
@@ -74,51 +68,33 @@ def _samples(run, repeats=3):
     return times, result
 
 
-def _compare_storage(program, database, bench_record, name, min_speedup):
-    columnar = SemiNaiveEngine(program, options=EngineOptions(storage="columnar"))
-    tuple_engine = SemiNaiveEngine(program, options=EngineOptions(storage="tuple"))
-    columnar_times, columnar_result = _samples(lambda: columnar.evaluate(database))
-    tuple_times, tuple_result = _samples(lambda: tuple_engine.evaluate(database))
-    assert columnar_result == tuple_result
-    speedup = min(tuple_times) / max(min(columnar_times), 1e-9)
-    bench_record(f"columnar_{name}_s", statistics.median(columnar_times))
-    bench_record(f"columnar_{name}_tuple_ablation_s", statistics.median(tuple_times))
-    bench_record(f"columnar_{name}_speedup_x", speedup)
-    print(
-        f"\n{name}: columnar {min(columnar_times):.4f} s vs "
-        f"tuple storage {min(tuple_times):.4f} s (speed-up {speedup:.2f}x)"
-    )
-    assert speedup >= min_speedup
-    return columnar_result
+def _time_columnar(program, database, bench_record, name):
+    engine = SemiNaiveEngine(program)
+    times, result = _samples(lambda: engine.evaluate(database))
+    bench_record(f"columnar_{name}_s", statistics.median(times))
+    print(f"\n{name}: columnar {min(times):.4f} s")
+    return result
 
 
-def test_columnar_beats_tuple_on_chain_reach(quick, bench_record):
+def test_columnar_chain_reach(quick, bench_record):
     length = 20_000 if quick else 100_000
     program, database = _chain_workload(length)
-    result = _compare_storage(
-        program, database, bench_record, f"reach_chain_{length}", min_speedup=1.1
-    )
+    result = _time_columnar(program, database, bench_record, f"reach_chain_{length}")
     assert len(result["reach"]) == length
 
 
-def test_columnar_beats_tuple_on_random_reach(quick, bench_record):
+def test_columnar_random_reach(quick, bench_record):
     edge_count = 20_000 if quick else 100_000
     program, database = _random_reach_workload(edge_count)
-    result = _compare_storage(
-        program, database, bench_record, f"reach_random_{edge_count}", min_speedup=1.1
-    )
+    result = _time_columnar(program, database, bench_record, f"reach_random_{edge_count}")
     assert len(result["reach"]) > edge_count // 2
 
 
-def test_columnar_beats_tuple_on_same_generation(quick, bench_record):
+def test_columnar_same_generation(quick, bench_record):
     depth = 6 if quick else 8
     program, database = _same_generation_workload(depth)
-    result = _compare_storage(
-        program,
-        database,
-        bench_record,
-        f"same_generation_depth_{depth}",
-        min_speedup=1.2,
+    result = _time_columnar(
+        program, database, bench_record, f"same_generation_depth_{depth}"
     )
     assert result["sg"]
 
@@ -131,7 +107,6 @@ def test_columnar_storage_counters_track_the_fixpoint(bench_record):
     engine = SemiNaiveEngine(program)
     result = engine.evaluate(database)
     info = engine.engine_info()
-    assert info.storage == "columnar"
     assert info.rows_interned >= len(result["reach"]) + len(database["edge"])
     assert info.delta_batches >= 1_999
     assert info.delta_rows >= 2_000

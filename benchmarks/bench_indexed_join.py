@@ -1,12 +1,13 @@
 """Indexed vs nested-loop joins in the generic semi-naive engine.
 
 The seed engine matched every body literal by scanning the whole relation
-per partial substitution; the index layer (repro/datalog/index.py) probes a
-hash index on the currently-bound argument positions instead and greedily
+per partial substitution; the engine now probes indexes on the
+currently-bound argument positions (repro/datalog/columns.py) and greedily
 reorders body literals by selectivity.  This benchmark quantifies the gap on
 (a) the tree workload the ablation uses and (b) a classic transitive-closure
 program, and asserts the indexed join is strictly faster — the seed's
-nested-loop behaviour is preserved behind ``use_index=False``.
+nested-loop evaluator is kept as the reference oracle
+(``repro.datalog.reference_evaluate``), which is the "before" series.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import time
 import pytest
 
 from repro.bench import scaling_tree, wide_program
-from repro.datalog import SemiNaiveEngine, parse_program, tree_database
+from repro.datalog import SemiNaiveEngine, parse_program, reference_evaluate, tree_database
 
 TC_PROGRAM_TEXT = """
 reach(X, Y) :- edge(X, Y).
@@ -37,12 +38,11 @@ def _tree_workload(size):
 def test_indexed_join_beats_nested_loop_on_tree_workload(quick, best_of, bench_record):
     size = 800 if quick else 3_000
     program, database = _tree_workload(size)
-    indexed_engine = SemiNaiveEngine(program, use_index=True)  # planned + indexed
-    nested_engine = SemiNaiveEngine(program, use_index=False)
+    indexed_engine = SemiNaiveEngine(program)
 
     indexed_time, indexed_result = best_of(lambda: indexed_engine.evaluate(database))
     nested_time, nested_result = best_of(
-        lambda: nested_engine.evaluate(database), repeats=1
+        lambda: reference_evaluate(program, database), repeats=1
     )
 
     assert indexed_result == nested_result
@@ -62,12 +62,11 @@ def test_indexed_join_beats_nested_loop_on_transitive_closure(
     length = 60 if quick else 150
     program = parse_program(TC_PROGRAM_TEXT)
     database = _chain_edges(length)
-    indexed_engine = SemiNaiveEngine(program, use_index=True)  # planned + indexed
-    nested_engine = SemiNaiveEngine(program, use_index=False)
+    indexed_engine = SemiNaiveEngine(program)
 
     indexed_time, indexed_result = best_of(lambda: indexed_engine.evaluate(database))
     nested_time, nested_result = best_of(
-        lambda: nested_engine.evaluate(database), repeats=1
+        lambda: reference_evaluate(program, database), repeats=1
     )
 
     assert indexed_result == nested_result
@@ -103,12 +102,11 @@ def test_query_cache_avoids_recomputation(quick):
 @pytest.mark.benchmark(group="indexed-join")
 def test_benchmark_indexed_join(benchmark):
     program, database = _tree_workload(1_000)
-    engine = SemiNaiveEngine(program, use_index=True)
+    engine = SemiNaiveEngine(program)
     benchmark(engine.evaluate, database)
 
 
 @pytest.mark.benchmark(group="indexed-join")
 def test_benchmark_nested_loop_join(benchmark):
     program, database = _tree_workload(1_000)
-    engine = SemiNaiveEngine(program, use_index=False)
-    benchmark(engine.evaluate, database)
+    benchmark(reference_evaluate, program, database)

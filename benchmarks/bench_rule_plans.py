@@ -1,14 +1,12 @@
-"""Compile-once rule plans vs the PR-1 per-call indexed join.
+"""Compile-once rule plans on deep-recursion and same-generation workloads.
 
-The PR-1 engine re-derived its join strategy on every ``_join`` call and
-allocated a fresh delta database per semi-naive iteration; the plan layer
-(repro/datalog/plan.py) compiles each rule once, memoises join orders per
-size bucket, interprets slot-based rows instead of substitution dicts, and
-recycles delta storage with batched index updates.  These benchmarks
-quantify the gap on the ROADMAP's wider, non-tree workloads — deep-recursion
-graph reachability at 10^5+ edges and the classic same-generation program —
-and assert the planned engine is at least twice as fast on the
-deep-recursion shapes.  Headline numbers land in BENCH_engine.json.
+The plan layer (repro/datalog/plan.py) compiles each rule once, memoises
+join orders per size bucket and runs slot-based rows through specialised
+executor closures.  These benchmarks time it on the ROADMAP's wider,
+non-tree workloads — deep-recursion graph reachability at 10^5+ edges and
+the classic same-generation program — and check that bucket memoisation
+keeps the number of compiled join plans small.  Headline numbers land in
+BENCH_engine.json.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ import time
 
 import pytest
 
-from repro.datalog import EngineOptions, SemiNaiveEngine, parse_program
+from repro.datalog import SemiNaiveEngine, parse_program
 
 REACH_PROGRAM_TEXT = """
 reach(Y) :- source(X), edge(X, Y).
@@ -29,10 +27,6 @@ reach(Y) :- reach(X), edge(X, Y).
 SG_PROGRAM_TEXT = """
 sg(X, Y) :- sibling(X, Y).
 sg(X, Y) :- parent(X, XP), sg(XP, YP), parent(Y, YP).
-"""
-
-TRIANGLE_PROGRAM_TEXT = """
-triangle(X, Y, Z) :- edge(X, Y), edge(Y, Z), edge(X, Z).
 """
 
 
@@ -79,9 +73,8 @@ def _same_generation_workload(depth):
 
 
 def _samples(run, repeats=3):
-    """All wall-clock samples plus the last result (min for assertions,
-    median for the recorded trajectory — same sample set for both engines,
-    so neither side is systematically noisier)."""
+    """All wall-clock samples plus the last result (median for the recorded
+    trajectory, min for the printed number)."""
     times = []
     result = None
     for _ in range(repeats):
@@ -91,107 +84,37 @@ def _samples(run, repeats=3):
     return times, result
 
 
-def _compare(program, database, bench_record, name, min_speedup):
-    planned_engine = SemiNaiveEngine(program)
-    legacy_engine = SemiNaiveEngine(program, use_plans=False)
-    planned_times, planned_result = _samples(lambda: planned_engine.evaluate(database))
-    legacy_times, legacy_result = _samples(lambda: legacy_engine.evaluate(database))
-    assert planned_result == legacy_result
-    # min-vs-min for the assertion (scheduler noise damped on both sides),
-    # median-vs-median for the recorded numbers.
-    speedup = min(legacy_times) / max(min(planned_times), 1e-9)
-    bench_record(f"{name}_planned_s", statistics.median(planned_times))
-    bench_record(f"{name}_pr1_indexed_s", statistics.median(legacy_times))
-    bench_record(f"{name}_speedup_x", speedup)
-    print(
-        f"\n{name}: planned {min(planned_times):.4f} s vs "
-        f"PR-1 indexed {min(legacy_times):.4f} s (speed-up {speedup:.1f}x)"
-    )
-    assert speedup >= min_speedup
-    return planned_result
+def _time_planned(program, database, bench_record, name):
+    engine = SemiNaiveEngine(program)
+    times, result = _samples(lambda: engine.evaluate(database))
+    bench_record(f"{name}_planned_s", statistics.median(times))
+    print(f"\n{name}: planned {min(times):.4f} s")
+    return result
 
 
-def test_planned_beats_pr1_on_deep_chain_reachability(quick, bench_record):
+def test_planned_deep_chain_reachability(quick, bench_record):
     length = 20_000 if quick else 100_000
     program, database = _chain_reach_workload(length)
-    result = _compare(
-        program, database, bench_record, f"reach_chain_{length}", min_speedup=2.0
-    )
+    result = _time_planned(program, database, bench_record, f"reach_chain_{length}")
     assert len(result["reach"]) == length
 
 
-def test_planned_beats_pr1_on_same_generation(quick, bench_record):
+def test_planned_same_generation(quick, bench_record):
     depth = 6 if quick else 8
     program, database = _same_generation_workload(depth)
-    result = _compare(
-        program,
-        database,
-        bench_record,
-        f"same_generation_depth_{depth}",
-        min_speedup=2.0,
+    result = _time_planned(
+        program, database, bench_record, f"same_generation_depth_{depth}"
     )
     assert result["sg"]  # sanity: the recursion actually fired
 
 
-def test_planned_beats_pr1_on_random_graph_reachability(quick, bench_record):
+def test_planned_random_graph_reachability(quick, bench_record):
     edge_count = 20_000 if quick else 100_000
     program, database = _random_reach_workload(edge_count)
-    # Wider deltas dilute the per-iteration overhead the plans remove, so
-    # the floor is lower here; the recorded number tracks the trajectory.
-    result = _compare(
-        program, database, bench_record, f"reach_random_{edge_count}", min_speedup=1.3
+    result = _time_planned(
+        program, database, bench_record, f"reach_random_{edge_count}"
     )
     assert len(result["reach"]) > edge_count // 2
-
-
-def _triangle_workload(node_count, edge_count, seed=11):
-    """Triangle enumeration over a random digraph: the closing literal
-    ``edge(X, Z)`` is probed with *both* positions bound — the workload
-    where ``index_keys="full"`` (one composite hash probe) and
-    ``index_keys="prefix"`` (posting-set intersection) actually diverge."""
-    rng = random.Random(seed)
-    edges = set()
-    while len(edges) < edge_count:
-        a, b = rng.randrange(node_count), rng.randrange(node_count)
-        if a != b:
-            edges.add((a, b))
-    return parse_program(TRIANGLE_PROGRAM_TEXT), {"edge": edges}
-
-
-def test_index_key_full_vs_prefix_tuning(quick, bench_record):
-    """Index-key tuning study: composite full-key indexes vs per-column
-    posting prefixes on multi-bound probes.
-
-    Records ``index_key_full_s`` / ``index_key_prefix_s`` and their ratio.
-    The study backs the ``EngineOptions(index_keys="full")`` default: a
-    composite index answers an exact multi-bound probe in one hash lookup,
-    while prefix mode pays a set intersection per probe — full has
-    measured consistently faster on this workload, and prefix stays
-    available as the memory-lean ablation (no composite materialisation).
-    """
-    nodes, edge_count = (300, 3_000) if quick else (700, 12_000)
-    program, database = _triangle_workload(nodes, edge_count)
-    timings = {}
-    results = {}
-    for mode in ("full", "prefix"):
-        engine = SemiNaiveEngine(program, options=EngineOptions(index_keys=mode))
-        times, result = _samples(lambda e=engine: e.evaluate(database))
-        timings[mode] = times
-        results[mode] = result
-    assert results["full"] == results["prefix"]
-    ratio = min(timings["prefix"]) / max(min(timings["full"]), 1e-9)
-    bench_record("index_key_full_s", statistics.median(timings["full"]))
-    bench_record("index_key_prefix_s", statistics.median(timings["prefix"]))
-    bench_record("index_key_prefix_over_full_x", ratio)
-    print(
-        f"\nindex keys on {edge_count}-edge triangles: "
-        f"full {min(timings['full']):.4f} s vs "
-        f"prefix {min(timings['prefix']):.4f} s (prefix/full {ratio:.2f}x)"
-    )
-    # Both modes must terminate and agree; the default only has to not be
-    # slower in the large — tiny quick-mode workloads are jitter-prone, so
-    # the bound is deliberately loose (the recorded ratio is the study).
-    assert ratio > 0.5
 
 
 def test_plan_cache_stays_small_across_fixpoint():
@@ -212,9 +135,3 @@ def test_benchmark_planned_chain_reach(benchmark):
     engine = SemiNaiveEngine(program)
     benchmark(engine.evaluate, database)
 
-
-@pytest.mark.benchmark(group="rule-plans")
-def test_benchmark_pr1_chain_reach(benchmark):
-    program, database = _chain_reach_workload(10_000)
-    engine = SemiNaiveEngine(program, use_plans=False)
-    benchmark(engine.evaluate, database)

@@ -50,8 +50,6 @@ NOISY_PREFIXES: Tuple[str, ...] = (
     "session_concurrency_",
     "extract_many_parallel_",
     "distrib_",
-    # Sub-10ms index-key probes: dominated by allocator/cache jitter.
-    "index_key_",
 )
 
 

@@ -128,7 +128,7 @@ class AdornedProgram:
 
         Every non-empty ``bound`` of a relational adorned literal is a hash
         index the compiled plans will demand of
-        :class:`~repro.datalog.index.RelationIndex`.
+        :class:`~repro.datalog.columns.ColumnarRelation`.
         """
         advice: Dict[str, Set[Tuple[int, ...]]] = {}
         for adorned in self.rules:

@@ -1,10 +1,8 @@
 """Generic bottom-up datalog evaluation (semi-naive, stratified negation).
 
-This is the reference engine the theory packages compare against.  It works
-for arbitrary (function-free, safe) datalog programs over an extensional
-database given as ``{predicate: set of tuples}``.
-
-Evaluation architecture (see ROADMAP.md and docs/ENGINE.md for the full
+The engine works for arbitrary (function-free, safe) datalog programs over
+an extensional database given as ``{predicate: set of tuples}``.  It has
+one evaluation path (see ROADMAP.md and docs/ENGINE.md for the full
 picture):
 
 1. **Plan compilation** (:mod:`repro.datalog.plan`) — every rule is compiled
@@ -19,59 +17,37 @@ picture):
    registry (:mod:`repro.datalog.registry`) shares strata, plans and
    trigger maps across every engine constructed over content-equal programs
    (``share_plans=False`` opts out); join-order memos stay per-engine.
-2. **Storage** (:mod:`repro.datalog.columns` / :mod:`repro.datalog.index`)
-   — under the default ``storage="columnar"``, relations intern rows into
+2. **Storage** (:mod:`repro.datalog.columns`) — relations intern rows into
    append-only arrays and serve probes from lazily materialised posting
-   sets (or composite hash keys under ``index_keys="full"``) that catch up
-   to the row array in batch on first use after appends.  The tuple-at-a-
-   time :class:`~repro.datalog.index.IndexedDatabase` stays behind
-   ``storage="tuple"``; both sit behind one storage protocol, so compiled
-   plans are storage-agnostic.
+   sets and composite full-key indexes that catch up to the row array in
+   batch on first use after appends.
 3. **Semi-naive loop** — a naive first round followed by delta iteration.
-   Columnar deltas are :class:`~repro.datalog.columns.ColumnarWindow`
-   row-id range slices over the interned row arrays (no per-iteration
-   copying); derived facts land via batched ``add_batch`` appends.  The
-   tuple path recycles delta storage across iterations (bucket
-   dictionaries cleared in place) with batched index updates.
+   Deltas are :class:`~repro.datalog.columns.ColumnarWindow` row-id range
+   slices over the interned row arrays (no per-iteration copying); derived
+   facts land via batched ``add_batch`` appends.
 4. **Fixpoint caching** (:mod:`repro.datalog.cache`) — ``fixpoint()`` keeps
    an LRU of evaluated databases keyed by cheap content hashes with exact
    verification on hit, sized for the several hot documents of the
    :mod:`repro.server.pipeline` access pattern.
 
-The tuple-at-a-time storage is kept behind ``storage="tuple"``, the PR-1
-plan-free indexed join behind ``use_plans=False``, and the seed nested-loop
-strategy behind ``use_index=False`` as ablation baselines; property tests
-assert all paths compute identical fixpoints.
-
-The specialised linear-time evaluation for monadic datalog over trees
-(Theorem 2.4) lives in :mod:`repro.mdatalog.evaluator`; property-based tests
-check both engines agree.
+The seed nested-loop evaluator lives on as the reference oracle in
+:mod:`repro.datalog.reference`; property tests assert the engine computes
+its fixpoints.  The specialised linear-time evaluation for monadic datalog
+over trees (Theorem 2.4) lives in :mod:`repro.mdatalog.evaluator`;
+property-based tests check both engines agree.
 """
 
 from __future__ import annotations
 
-from typing import (
-    Dict,
-    FrozenSet,
-    Iterable,
-    List,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple
 
-from .ast import Atom, Constant, Database, Literal, Program, Rule, Term, Variable
+from .ast import Database, Program
 from .cache import CacheInfo, FixpointCache
-from .columns import ColumnarDatabase, ColumnarWindow, StorageStats
-from .index import IndexedDatabase, RelationIndex
+from .columns import ColumnarDatabase, StorageStats
 from .options import UNSET, EngineOptions, resolve_options
 from .plan import PlanMemo, RulePlan, compile_stratum
 from .registry import PlanRegistry, shared_registry
 from .stratify import stratify
-
-Substitution = Dict[Variable, object]
 
 _EMPTY_EXTENSION: FrozenSet[Tuple[object, ...]] = frozenset()
 
@@ -82,86 +58,32 @@ class EngineInfo(NamedTuple):
     ``closure_compiles`` counts the specialised executor chains resident in
     this engine's join-order memos (one per distinct (delta position,
     size-bucket signature) the fixpoints actually exercised); the storage
-    counters come from :class:`~repro.datalog.columns.StorageStats` and
-    stay zero under ``storage="tuple"``.
+    counters come from :class:`~repro.datalog.columns.StorageStats`.
     """
 
-    storage: str
-    index_keys: str
     rows_interned: int
-    posting_intersections: int
     delta_batches: int
     delta_rows: int
     max_delta_batch: int
     closure_compiles: int
 
 
-def aggregate_engine_info(
-    storage: str, index_keys: str, infos: Iterable[EngineInfo]
-) -> EngineInfo:
+def aggregate_engine_info(infos: Iterable[EngineInfo]) -> EngineInfo:
     """Sum counters across engines (:meth:`repro.api.Session.engine_info`)."""
-    rows = intersections = batches = delta_rows = compiles = 0
+    rows = batches = delta_rows = compiles = 0
     max_batch = 0
     for info in infos:
         rows += info.rows_interned
-        intersections += info.posting_intersections
         batches += info.delta_batches
         delta_rows += info.delta_rows
         compiles += info.closure_compiles
         if info.max_delta_batch > max_batch:
             max_batch = info.max_delta_batch
-    return EngineInfo(
-        storage, index_keys, rows, intersections, batches, delta_rows, max_batch, compiles
-    )
+    return EngineInfo(rows, batches, delta_rows, max_batch, compiles)
 
 
 class EvaluationError(RuntimeError):
     """Raised on unsafe rules or missing relations during evaluation."""
-
-
-def _match_atom(
-    atom: Atom,
-    fact: Tuple[object, ...],
-    substitution: Substitution,
-) -> Optional[Substitution]:
-    """Try to extend ``substitution`` so that ``atom`` matches ``fact``."""
-    if len(atom.terms) != len(fact):
-        return None
-    extended = substitution
-    copied = False
-    for term, value in zip(atom.terms, fact):
-        if isinstance(term, Constant):
-            if term.value != value:
-                return None
-        else:
-            bound = extended.get(term, _UNBOUND)
-            if bound is _UNBOUND:
-                if not copied:
-                    extended = dict(extended)
-                    copied = True
-                extended[term] = value
-            elif bound != value:
-                return None
-    return extended
-
-
-class _Unbound:
-    __slots__ = ()
-
-
-_UNBOUND = _Unbound()
-
-
-def _ground_terms(terms: Sequence[Term], substitution: Substitution) -> Tuple[object, ...]:
-    values: List[object] = []
-    for term in terms:
-        if isinstance(term, Constant):
-            values.append(term.value)
-        else:
-            if term not in substitution:
-                raise EvaluationError(f"unbound variable {term} in rule head")
-            values.append(substitution[term])
-    return tuple(values)
 
 
 class EvaluationResult:
@@ -218,12 +140,8 @@ class SemiNaiveEngine:
     comparison conditions (Section 3.3).
 
     Tuning is declared through one :class:`~repro.datalog.options.
-    EngineOptions` object (``options=``): ``use_plans=True`` (the default)
-    evaluates through the compile-once rule plans of
-    :mod:`repro.datalog.plan`; ``use_plans=False`` retains the PR-1 per-call
-    indexed join and ``use_index=False`` the original nested-loop join, both
-    as ablation baselines.  ``cache_size`` bounds the fixpoint LRU (one
-    entry per distinct hot database).
+    EngineOptions` object (``options=``); ``cache_size`` bounds the fixpoint
+    LRU (one entry per distinct hot database).
 
     ``share_plans=True`` (the default) obtains strata, rule plans and
     trigger maps from a shared :class:`~repro.datalog.registry.
@@ -234,8 +152,8 @@ class SemiNaiveEngine:
     memos, delta storage, the fixpoint LRU — stays instance-local.
     ``share_plans=False`` compiles privately (the ablation baseline).
 
-    The pre-façade tuning kwargs (``use_index=``, ``use_plans=``,
-    ``cache_size=``, ``share_plans=``) still work but emit
+    The pre-façade tuning kwargs (``cache_size=``, ``share_plans=``) still
+    work but emit
     :class:`DeprecationWarning`; new code passes ``options=``.
     """
 
@@ -251,8 +169,6 @@ class SemiNaiveEngine:
     def __init__(
         self,
         program: Program,
-        use_index: object = UNSET,
-        use_plans: object = UNSET,
         cache_size: object = UNSET,
         share_plans: object = UNSET,
         *,
@@ -263,8 +179,6 @@ class SemiNaiveEngine:
             "SemiNaiveEngine",
             options,
             {
-                "use_index": use_index,
-                "use_plans": use_plans,
                 "cache_size": cache_size,
                 "share_plans": share_plans,
             },
@@ -273,10 +187,7 @@ class SemiNaiveEngine:
         self._validate_builtins(program)
         self.program = program
         self.options = options
-        self.use_index = options.use_index
-        self.use_plans = options.effective_use_plans
-        self.share_plans = options.effective_share_plans
-        self.storage = options.effective_storage
+        self.share_plans = options.share_plans
         self._storage_stats = StorageStats()
         self._fixpoint_cache: FixpointCache[EvaluationResult] = FixpointCache(
             options.cache_size
@@ -289,7 +200,7 @@ class SemiNaiveEngine:
         # Statically-seeded planning (repro/analysis/cost.py): seed plans
         # are compiled at registry time; this flag decides whether run()
         # consults them, and index_advice drives eager index builds.
-        self._seed_plans = options.effective_use_plans and options.seed_plans
+        self._seed_plans = options.seed_plans
         self._index_advice: Dict[str, Tuple[Tuple[int, ...], ...]] = {}
         if self.share_plans:
             source = registry if registry is not None else shared_registry()
@@ -300,17 +211,16 @@ class SemiNaiveEngine:
             self._index_advice = compiled.index_advice
         else:
             self.strata = stratify(program)
-            if self.use_plans:
-                for stratum_rules in self.strata:
-                    plans, triggers = compile_stratum(stratum_rules, self.BUILTINS)
-                    self._stratum_plans.append(plans)
-                    self._stratum_triggers.append(triggers)
-                if self._seed_plans:
-                    from ..analysis.cost import seed_rule_plans
+            for stratum_rules in self.strata:
+                plans, triggers = compile_stratum(stratum_rules, self.BUILTINS)
+                self._stratum_plans.append(plans)
+                self._stratum_triggers.append(triggers)
+            if self._seed_plans:
+                from ..analysis.cost import seed_rule_plans
 
-                    self._index_advice = seed_rule_plans(
-                        self._stratum_plans, self._stratum_triggers, program
-                    )
+                self._index_advice = seed_rule_plans(
+                    self._stratum_plans, self._stratum_triggers, program
+                )
         # Join-order memos are database-sized state and therefore NEVER
         # shared: one memo per (possibly shared) plan, owned by this engine.
         self._plan_memos: Dict[int, PlanMemo] = {
@@ -335,34 +245,19 @@ class SemiNaiveEngine:
     # ------------------------------------------------------------------
     def evaluate(self, database: Database) -> Database:
         """Return all derived facts (EDB facts included in the result)."""
-        if self.storage == "columnar":
-            facts: "ColumnarDatabase | IndexedDatabase" = ColumnarDatabase(
-                database, self.options.index_keys, self._storage_stats
-            )
-        else:
-            facts = IndexedDatabase(database, self.options.index_keys)
+        facts = ColumnarDatabase(database, self._storage_stats)
         if self._seed_plans and self._index_advice:
             # Pre-build the access paths the seeded plans will probe — the
             # same ones the lazy path would build on first probe, just
             # before the fixpoint starts instead of mid-join.
             for predicate, keys in self._index_advice.items():
-                if not facts.size(predicate):
+                if not facts.row_count(predicate):
                     continue
                 relation = facts.lookup(predicate)
                 for positions in keys:
                     relation.ensure_index(positions)
-        if self.storage == "columnar":
-            assert isinstance(facts, ColumnarDatabase)
-            for plans, triggers in zip(self._stratum_plans, self._stratum_triggers):
-                self._evaluate_stratum_columnar(plans, triggers, facts)
-        elif self.use_plans:
-            assert isinstance(facts, IndexedDatabase)
-            for plans, triggers in zip(self._stratum_plans, self._stratum_triggers):
-                self._evaluate_stratum_planned(plans, triggers, facts)
-        else:
-            assert isinstance(facts, IndexedDatabase)
-            for stratum_rules in self.strata:
-                self._evaluate_stratum(stratum_rules, facts)
+        for plans, triggers in zip(self._stratum_plans, self._stratum_triggers):
+            self._evaluate_stratum(plans, triggers, facts)
         return facts.to_database()
 
     def engine_info(self) -> EngineInfo:
@@ -373,10 +268,7 @@ class SemiNaiveEngine:
         """
         stats = self._storage_stats
         return EngineInfo(
-            storage=self.storage,
-            index_keys=self.options.index_keys,
             rows_interned=stats.rows_interned,
-            posting_intersections=stats.posting_intersections,
             delta_batches=stats.delta_batches,
             delta_rows=stats.delta_rows,
             max_delta_batch=stats.max_delta_batch,
@@ -421,56 +313,9 @@ class SemiNaiveEngine:
         self._fixpoint_cache.clear()
 
     # ------------------------------------------------------------------
-    # Planned evaluation (compile-once rule plans, delta compaction)
+    # Semi-naive evaluation (batched deltas over append-only row arrays)
     # ------------------------------------------------------------------
-    def _evaluate_stratum_planned(
-        self,
-        plans: List[RulePlan],
-        triggers: Dict[str, List[Tuple[RulePlan, int]]],
-        facts: IndexedDatabase,
-    ) -> None:
-        add_fact = facts.add_fact
-        memos = self._plan_memos
-        use_seeds = self._seed_plans
-        # Naive first round: every rule fires once without delta restriction.
-        collected: Dict[str, List[Tuple[object, ...]]] = {}
-        for plan in plans:
-            predicate = plan.head_predicate
-            new_facts = None
-            for derived in plan.run(facts, memo=memos[id(plan)], use_seeds=use_seeds):
-                if add_fact(predicate, derived):
-                    if new_facts is None:
-                        new_facts = collected.setdefault(predicate, [])
-                    new_facts.append(derived)
-        # Semi-naive iteration: two delta databases are recycled across all
-        # iterations (cleared in place, loaded with batched index updates)
-        # instead of allocating a fresh IndexedDatabase per round.
-        delta = IndexedDatabase()
-        spare = IndexedDatabase()
-        delta.load(collected)
-        while delta:
-            collected = {}
-            for delta_predicate, relation in delta.relations.items():
-                if not relation:
-                    continue
-                for plan, position in triggers.get(delta_predicate, ()):
-                    predicate = plan.head_predicate
-                    new_facts = None
-                    for derived in plan.run(
-                        facts, delta, position, memos[id(plan)], use_seeds
-                    ):
-                        if add_fact(predicate, derived):
-                            if new_facts is None:
-                                new_facts = collected.setdefault(predicate, [])
-                            new_facts.append(derived)
-            spare.clear()
-            spare.load(collected)
-            delta, spare = spare, delta
-
-    # ------------------------------------------------------------------
-    # Columnar evaluation (batched deltas over append-only row arrays)
-    # ------------------------------------------------------------------
-    def _evaluate_stratum_columnar(
+    def _evaluate_stratum(
         self,
         plans: List[RulePlan],
         triggers: Dict[str, List[Tuple[RulePlan, int]]],
@@ -483,13 +328,15 @@ class SemiNaiveEngine:
         two watermarks — no delta database is built, cleared or re-indexed.
         Each round advances one watermark per derived predicate and slides
         a reusable :class:`~repro.datalog.columns.ColumnarWindow` over the
-        new range; everything else (plans, triggers, filters) is the same
-        machinery as the tuple path.
+        new range.
         """
         memos = self._plan_memos
         use_seeds = self._seed_plans
         stats = self._storage_stats
-        heads = list({plan.head_predicate for plan in plans})
+        # First-appearance order, not a set: the sweep order decides how
+        # deltas batch up, and so the engine_info() counters, which must not
+        # depend on PYTHONHASHSEED.
+        heads = list(dict.fromkeys(plan.head_predicate for plan in plans))
         # Rows at or past the watermark were not yet applied as a delta.
         consumed = {predicate: facts.row_count(predicate) for predicate in heads}
         # Naive first round: every rule fires once without delta
@@ -546,260 +393,6 @@ class SemiNaiveEngine:
             stats.delta_rows += rows_applied
             if max_batch > stats.max_delta_batch:
                 stats.max_delta_batch = max_batch
-
-    # ------------------------------------------------------------------
-    # Legacy (PR-1) evaluation loop — ablation baseline for the plans
-    # ------------------------------------------------------------------
-    def _evaluate_stratum(self, rules: List[Rule], facts: IndexedDatabase) -> None:
-        head_predicates = {rule.head.predicate for rule in rules}
-        # Naive first round, then semi-naive iteration on the deltas.
-        delta = IndexedDatabase()
-        for rule in rules:
-            for predicate, derived in self._apply_rule(rule, facts, None):
-                if facts.add_fact(predicate, derived):
-                    delta.add_fact(predicate, derived)
-        while delta:
-            new_delta = IndexedDatabase()
-            for rule in rules:
-                relevant = any(
-                    not literal.negated
-                    and literal.atom.predicate in head_predicates
-                    and delta.size(literal.atom.predicate)
-                    for literal in rule.body
-                )
-                if not relevant:
-                    continue
-                for predicate, derived in self._apply_rule(rule, facts, delta):
-                    if facts.add_fact(predicate, derived):
-                        new_delta.add_fact(predicate, derived)
-            delta = new_delta
-
-    def _apply_rule(
-        self,
-        rule: Rule,
-        facts: IndexedDatabase,
-        delta: Optional[IndexedDatabase],
-    ) -> Iterable[Tuple[str, Tuple[object, ...]]]:
-        """Yield (predicate, fact) pairs derivable by ``rule``.
-
-        When ``delta`` is given, at least one positive body literal must be
-        matched against the delta relation (semi-naive restriction); this is
-        implemented by trying each positive literal as the "delta position".
-        """
-        positive_positions = [
-            index for index, literal in enumerate(rule.body) if not literal.negated
-        ]
-        if delta is None or not positive_positions:
-            yield from self._join(rule, facts, None, -1)
-            return
-        seen: Set[Tuple[object, ...]] = set()
-        for delta_position in positive_positions:
-            predicate = rule.body[delta_position].atom.predicate
-            if not delta.size(predicate):
-                continue
-            for produced in self._join(rule, facts, delta, delta_position):
-                if produced[1] not in seen:
-                    seen.add(produced[1])
-                    yield produced
-
-    def _join(
-        self,
-        rule: Rule,
-        facts: IndexedDatabase,
-        delta: Optional[IndexedDatabase],
-        delta_position: int,
-    ) -> Iterable[Tuple[str, Tuple[object, ...]]]:
-        if self.use_index:
-            yield from self._join_indexed(rule, facts, delta, delta_position)
-        else:
-            yield from self._join_nested_loop(rule, facts, delta, delta_position)
-
-    # ------------------------------------------------------------------
-    # Indexed join (PR-1 per-call strategy)
-    # ------------------------------------------------------------------
-    def _join_indexed(
-        self,
-        rule: Rule,
-        facts: IndexedDatabase,
-        delta: Optional[IndexedDatabase],
-        delta_position: int,
-    ) -> Iterable[Tuple[str, Tuple[object, ...]]]:
-        # Split the body into relational literals (joined via the index) and
-        # filters (builtins and negated literals, hoisted below).
-        relational: List[int] = []
-        pending: List[Literal] = []
-        for position, literal in enumerate(rule.body):
-            if literal.negated or literal.atom.predicate in self.BUILTINS:
-                pending.append(literal)
-            else:
-                relational.append(position)
-
-        def relation_for(position: int) -> RelationIndex:
-            predicate = rule.body[position].atom.predicate
-            if position == delta_position and delta is not None:
-                return delta.lookup(predicate)
-            return facts.lookup(predicate)
-
-        order = self._join_order(rule, relational, delta_position, relation_for)
-
-        substitutions: List[Substitution] = [{}]
-        bound: Set[Variable] = set()
-        substitutions, pending = self._apply_ready_filters(
-            substitutions, pending, bound, facts
-        )
-        for position in order:
-            if not substitutions:
-                return
-            atom = rule.body[position].atom
-            relation = relation_for(position)
-            bound_positions = tuple(
-                index
-                for index, term in enumerate(atom.terms)
-                if isinstance(term, Constant) or term in bound
-            )
-            bound_terms = tuple(atom.terms[index] for index in bound_positions)
-            next_substitutions: List[Substitution] = []
-            for substitution in substitutions:
-                key = tuple(
-                    term.value if isinstance(term, Constant) else substitution[term]
-                    for term in bound_terms
-                )
-                for fact in relation.probe(bound_positions, key):
-                    extended = _match_atom(atom, fact, substitution)
-                    if extended is not None:
-                        next_substitutions.append(extended)
-            substitutions = next_substitutions
-            bound |= atom.variables()
-            substitutions, pending = self._apply_ready_filters(
-                substitutions, pending, bound, facts
-            )
-        # Leftover filters have variables no positive literal binds; grounding
-        # them surfaces the unbound-variable error exactly like the seed path.
-        for substitution in substitutions:
-            if all(
-                self._filter_passes(literal, substitution, facts)
-                for literal in pending
-            ):
-                yield rule.head.predicate, _ground_terms(rule.head.terms, substitution)
-
-    def _join_order(
-        self,
-        rule: Rule,
-        relational: List[int],
-        delta_position: int,
-        relation_for,
-    ) -> List[int]:
-        """Greedy selectivity ordering of the positive relational literals.
-
-        The delta literal (when present) seeds the order — it carries the
-        novelty and is typically the smallest relation.  Each following pick
-        maximises the number of already-bound terms (constants plus variables
-        bound by earlier literals) and tie-breaks on smaller relation size,
-        so probes run with the longest available prefix.
-        """
-        remaining = list(relational)
-        order: List[int] = []
-        bound: Set[Variable] = set()
-        if delta_position in remaining:
-            remaining.remove(delta_position)
-            order.append(delta_position)
-            bound |= rule.body[delta_position].atom.variables()
-        while remaining:
-            def selectivity(position: int) -> Tuple[int, int]:
-                atom = rule.body[position].atom
-                bound_terms = sum(
-                    1
-                    for term in atom.terms
-                    if isinstance(term, Constant) or term in bound
-                )
-                return (bound_terms, -len(relation_for(position)))
-
-            best = max(remaining, key=selectivity)
-            remaining.remove(best)
-            order.append(best)
-            bound |= rule.body[best].atom.variables()
-        return order
-
-    def _apply_ready_filters(
-        self,
-        substitutions: List[Substitution],
-        pending: List[Literal],
-        bound: Set[Variable],
-        facts: IndexedDatabase,
-    ) -> Tuple[List[Substitution], List[Literal]]:
-        """Apply every pending filter whose variables are all bound."""
-        if not pending or not substitutions:
-            return substitutions, pending
-        ready: List[Literal] = []
-        still_pending: List[Literal] = []
-        for literal in pending:
-            (ready if literal.variables() <= bound else still_pending).append(literal)
-        if not ready:
-            return substitutions, pending
-        filtered = [
-            substitution
-            for substitution in substitutions
-            if all(self._filter_passes(literal, substitution, facts) for literal in ready)
-        ]
-        return filtered, still_pending
-
-    def _filter_passes(
-        self, literal: Literal, substitution: Substitution, facts: IndexedDatabase
-    ) -> bool:
-        predicate = literal.atom.predicate
-        values = _ground_terms(literal.atom.terms, substitution)
-        if predicate in self.BUILTINS:
-            holds = self.BUILTINS[predicate](*values)
-            return not holds if literal.negated else holds
-        # Negated relational literal; its relation is complete (stratified
-        # negation evaluates strictly lower strata first).
-        return not facts.contains_fact(predicate, values)
-
-    # ------------------------------------------------------------------
-    # Seed nested-loop join (ablation baseline)
-    # ------------------------------------------------------------------
-    def _join_nested_loop(
-        self,
-        rule: Rule,
-        facts: IndexedDatabase,
-        delta: Optional[IndexedDatabase],
-        delta_position: int,
-    ) -> Iterable[Tuple[str, Tuple[object, ...]]]:
-        substitutions: List[Substitution] = [{}]
-        for index, literal in enumerate(rule.body):
-            if literal.negated:
-                continue
-            predicate = literal.atom.predicate
-            if predicate in self.BUILTINS:
-                continue
-            if index == delta_position and delta is not None:
-                relation = delta.facts_of(predicate)
-            else:
-                relation = facts.facts_of(predicate)
-            next_substitutions: List[Substitution] = []
-            for substitution in substitutions:
-                for fact in relation:
-                    extended = _match_atom(literal.atom, fact, substitution)
-                    if extended is not None:
-                        next_substitutions.append(extended)
-            substitutions = next_substitutions
-            if not substitutions:
-                return
-        # Builtins and negative literals act as filters over full substitutions.
-        for substitution in substitutions:
-            if not self._passes_filters(rule, substitution, facts):
-                continue
-            yield rule.head.predicate, _ground_terms(rule.head.terms, substitution)
-
-    def _passes_filters(
-        self, rule: Rule, substitution: Substitution, facts: IndexedDatabase
-    ) -> bool:
-        for literal in rule.body:
-            predicate = literal.atom.predicate
-            if predicate in self.BUILTINS or literal.negated:
-                if not self._filter_passes(literal, substitution, facts):
-                    return False
-        return True
 
 
 def evaluate_program(program: Program, database: Database) -> Database:

@@ -1,12 +1,12 @@
 """Engine tuning options: one frozen dataclass for every evaluator.
 
 Before the :mod:`repro.api` façade, each evaluation layer grew its own
-ad-hoc tuning kwargs — ``SemiNaiveEngine(use_index=, use_plans=,
-cache_size=, share_plans=)``, ``MonadicTreeEvaluator(force_generic=,
-use_index=, cache_size=, share_plans=)``, ``compiled_evaluator(
-force_generic=, share_plans=)`` — so a caller configuring a whole stack had
-to thread four or five booleans through every constructor, and a new knob
-meant touching every signature on the way down.
+ad-hoc tuning kwargs — ``SemiNaiveEngine(cache_size=, share_plans=)``,
+``MonadicTreeEvaluator(force_generic=, cache_size=, share_plans=)``,
+``compiled_evaluator(force_generic=, share_plans=)`` — so a caller
+configuring a whole stack had to thread several values through every
+constructor, and a new knob meant touching every signature on the way
+down.
 
 :class:`EngineOptions` replaces the scattered kwargs: it is the single
 declarative description of *how* to evaluate, accepted uniformly by
@@ -47,15 +47,11 @@ UNSET = _Unset()
 class EngineOptions:
     """Declarative tuning of one evaluator stack.
 
+    The semi-naive engine has one evaluation path (compiled rule plans over
+    columnar storage); these knobs tune it, never select another one.
+
     Attributes
     ----------
-    use_index:
-        Match body literals through hash indexes (:mod:`repro.datalog.index`).
-        ``False`` restores the seed nested-loop join (ablation baseline).
-    use_plans:
-        Evaluate through compile-once rule plans (:mod:`repro.datalog.plan`).
-        ``False`` restores the PR-1 per-call indexed join; implies nothing
-        when ``use_index`` is already ``False``.
     seed_plans:
         Consult the statically-seeded join plans that the registry compiles
         from :mod:`repro.analysis.cost` estimates at program-compile time
@@ -63,9 +59,9 @@ class EngineOptions:
         ``False`` restores pure runtime planning — the first query per
         (rule, delta position) re-runs the greedy planner on live sizes.
         Join order never affects the fixpoint, only latency; the property
-        suite asserts both settings produce identical results.  No effect
-        when ``effective_use_plans`` is ``False``.  Options-object only:
-        there is no legacy constructor kwarg for this knob.
+        suite asserts both settings produce identical results.
+        Options-object only: there is no legacy constructor kwarg for this
+        knob.
     share_plans:
         Obtain compiled programs (strata, rule plans, trigger maps — and, in
         the monadic layer, TMNF rewrites) from a shared
@@ -73,27 +69,6 @@ class EngineOptions:
         program pay one compilation.  Which registry is used is orthogonal:
         engines default to the process-wide singleton, while engines built
         by a :class:`repro.api.Session` use the session-owned registry.
-    storage:
-        Relation storage backend of the semi-naive engine.  ``"columnar"``
-        (default) evaluates over :mod:`repro.datalog.columns` — append-only
-        row arrays with posting-set indexes, batched delta windows —
-        ``"tuple"`` over the tuple-at-a-time
-        :mod:`repro.datalog.index` layer (the ablation baseline).
-        Storage is engine-internal scratch: it never affects the fixpoint
-        (the property suite proves all backends identical), compiled plans
-        are shared across storages, and every cache fingerprint is
-        storage-invariant.  Columnar evaluation runs through compiled rule
-        plans, so it requires ``effective_use_plans``; with plans disabled
-        the engine falls back to tuple storage (see
-        :attr:`effective_storage`).
-    index_keys:
-        Multi-position probe strategy of both storage backends.
-        ``"full"`` (default — the winner of the ``index_key_*`` benchmark
-        study) materialises one composite index per bound-position tuple;
-        ``"prefix"`` keeps only single-column access paths and narrows the
-        remaining positions by posting-set intersection (columnar) or
-        filtering (tuple).  Like join order, this affects latency only,
-        never the fixpoint.
     cache_size:
         Capacity of every per-engine fixpoint LRU (one entry per distinct
         hot database / document).
@@ -111,15 +86,11 @@ class EngineOptions:
         fingerprint, so the policy costs one analysis per distinct program.
     """
 
-    use_index: bool = True
-    use_plans: bool = True
     seed_plans: bool = True
     share_plans: bool = True
     cache_size: int = 8
     force_generic: bool = False
     on_diagnostics: str = "warn"
-    storage: str = "columnar"
-    index_keys: str = "full"
 
     def __post_init__(self) -> None:
         if self.cache_size < 1:
@@ -131,36 +102,11 @@ class EngineOptions:
                 "EngineOptions.on_diagnostics must be 'ignore', 'warn' or "
                 f"'strict', got {self.on_diagnostics!r}"
             )
-        if self.storage not in ("columnar", "tuple"):
-            raise ValueError(
-                "EngineOptions.storage must be 'columnar' or 'tuple', "
-                f"got {self.storage!r}"
-            )
-        if self.index_keys not in ("full", "prefix"):
-            raise ValueError(
-                "EngineOptions.index_keys must be 'full' or 'prefix', "
-                f"got {self.index_keys!r}"
-            )
 
     # ------------------------------------------------------------------
     def derive(self, **changes: Any) -> "EngineOptions":
         """A copy with ``changes`` applied (the frozen-dataclass idiom)."""
         return replace(self, **changes)
-
-    @property
-    def effective_use_plans(self) -> bool:
-        """Plans require the index layer; ``use_index=False`` disables both."""
-        return self.use_index and self.use_plans
-
-    @property
-    def effective_share_plans(self) -> bool:
-        """Sharing applies to compiled plans only, so it requires them."""
-        return self.effective_use_plans and self.share_plans
-
-    @property
-    def effective_storage(self) -> str:
-        """Columnar evaluation needs compiled plans; otherwise tuple."""
-        return "columnar" if self.storage == "columnar" and self.effective_use_plans else "tuple"
 
 
 #: The default options every constructor resolves to when nothing is passed.

@@ -1,12 +1,11 @@
 """Compile-once rule plans for the semi-naive engine.
 
-The PR-1 indexed join re-derived its whole strategy on every ``_join`` call:
-the greedy join order was recomputed from live relation sizes, the bound
-argument positions and probe keys were rebuilt per literal, builtin/negation
-filters were re-partitioned into ready/pending lists, and every matched fact
-went through a generic term-by-term unification with ``isinstance`` checks
-and dictionary copies.  For deep recursions (transitive closure, graph
-reachability) that per-call overhead dominates the actual probing.
+A rule evaluated by interpretation re-derives its whole strategy on every
+firing: the greedy join order from live relation sizes, the bound argument
+positions and probe keys per literal, which builtin/negation filters are
+ready, and a generic term-by-term unification of every matched fact.  For
+deep recursions (transitive closure, graph reachability) that per-call
+overhead dominates the actual probing.
 
 This module moves all of that work to compile time:
 
@@ -36,19 +35,15 @@ This module moves all of that work to compile time:
   and calls the chain.  Hot step shapes (full scans binding one or two
   slots, single-slot-key probes extending one slot) get dedicated closure
   bodies without the generic spec interpretation; everything else falls
-  back to a generic closure that mirrors the old interpreted loop exactly.
+  back to a generic closure that interprets the step's specs.
   Executors are built wherever plans are built — including the statically
   seeded plans the registry compiles (:mod:`repro.analysis.cost`), so a
   shared program carries its specialised executors with it.
 
-Plans and executors are written against the storage *protocols* of
-:mod:`repro.datalog.index` (``FactStorage`` / ``ProbeSource``), so one
-compiled program runs unchanged over the tuple-at-a-time backend and the
-columnar backend (:mod:`repro.datalog.columns`).
-
-The executors produce exactly the facts the PR-1 indexed join produced —
-the property tests assert equivalence against both the legacy indexed path
-and the seed nested-loop join, on every storage backend.
+Plans and executors are written against the storage protocols of
+:mod:`repro.datalog.columns` (``FactStorage`` / ``DeltaSource`` /
+``ProbeSource``).  The property tests assert the engine's fixpoints equal
+those of the nested-loop reference oracle (:mod:`repro.datalog.reference`).
 """
 
 from __future__ import annotations
@@ -56,7 +51,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .ast import Constant, Literal, Rule, Variable
-from .index import DeltaSource, FactStorage, ProbeSource
+from .columns import DeltaSource, FactStorage, ProbeSource
 
 Fact = Tuple[object, ...]
 
@@ -146,9 +141,10 @@ class _CompiledFilter:
 
     ``slots`` is the set of row slots the filter reads; a filter is hoisted
     to the earliest join step after which all of them are bound.  Filters
-    over variables no relational literal binds keep the seed behaviour:
-    they raise :class:`~repro.datalog.engine.EvaluationError` the first time
-    a substitution actually reaches them.
+    over variables no relational literal binds behave as in the reference
+    oracle (:mod:`repro.datalog.reference`): they raise
+    :class:`~repro.datalog.engine.EvaluationError` the first time a
+    substitution actually reaches them.
     """
 
     __slots__ = ("spec", "negated", "fn", "predicate", "slots", "unbound_term", "order")
@@ -183,8 +179,8 @@ class _CompiledFilter:
 
     def passes(self, row: List[object], facts: FactStorage) -> bool:
         if self.unbound_term is not None:
-            # Matches the seed _ground_terms error (it reuses the head
-            # message even for body filters).
+            # Matches the reference oracle's _ground_terms error (it reuses
+            # the head message even for body filters).
             from .engine import EvaluationError
 
             raise EvaluationError(f"unbound variable {self.unbound_term} in rule head")
@@ -247,8 +243,7 @@ def _build_step_runner(step: _JoinStep) -> StepRunner:
       layer's ``probe1`` so no key tuple is allocated.
 
     Everything else (constants in keys, repeated variables, hoisted
-    filters, multi-position keys) runs the generic body, which replicates
-    the old interpreted loop exactly.
+    filters, multi-position keys) runs the generic body.
     """
     predicate = step.predicate
     from_delta = step.from_delta
@@ -886,9 +881,9 @@ class RulePlan:
         body = self.rule.body
         slot_of = self.slot_of
 
-        # Greedy selectivity order, exactly as the PR-1 join: the delta
-        # literal seeds the order, then each pick maximises already-bound
-        # terms and tie-breaks on smaller relation size.
+        # Greedy selectivity order: the delta literal seeds the order, then
+        # each pick maximises already-bound terms and tie-breaks on smaller
+        # relation size.
         order = greedy_join_order(body, self.relational, delta_position, sizes)
         bound: Set[int] = set()
 
@@ -982,9 +977,9 @@ class RulePlan:
         materialised before the caller inserts it, so inserting derived
         facts never mutates a relation mid-probe.
 
-        ``facts`` / ``delta`` may be any storage backend satisfying the
-        protocols of :mod:`repro.datalog.index`; evaluation dispatches to
-        the plan's precompiled executor closure chain.
+        ``facts`` / ``delta`` satisfy the protocols of
+        :mod:`repro.datalog.columns`; evaluation dispatches to the plan's
+        precompiled executor closure chain.
         """
         plan = self._plan_for(facts, delta, delta_position, memo, use_seeds)
         delta_rel: Optional[ProbeSource] = None

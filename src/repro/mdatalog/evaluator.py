@@ -83,7 +83,7 @@ class MonadicTreeEvaluator:
 
     Tuning is declared through one :class:`~repro.datalog.options.
     EngineOptions` (``options=``); the pre-façade kwargs (``force_generic``,
-    ``use_index``, ``cache_size``, ``share_plans``) still work but emit
+    ``cache_size``, ``share_plans``) still work but emit
     :class:`DeprecationWarning`.
     """
 
@@ -91,7 +91,6 @@ class MonadicTreeEvaluator:
         self,
         program: MonadicProgram,
         force_generic: object = UNSET,
-        use_index: object = UNSET,
         cache_size: object = UNSET,
         share_plans: object = UNSET,
         *,
@@ -103,7 +102,6 @@ class MonadicTreeEvaluator:
             options,
             {
                 "force_generic": force_generic,
-                "use_index": use_index,
                 "cache_size": cache_size,
                 "share_plans": share_plans,
             },

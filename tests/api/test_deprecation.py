@@ -52,18 +52,18 @@ def doc():
 
 def test_engine_legacy_kwargs_warn_and_match_options():
     with pytest.warns(DeprecationWarning, match="SemiNaiveEngine"):
-        legacy = SemiNaiveEngine(PROGRAM, use_plans=False, cache_size=4)
+        legacy = SemiNaiveEngine(PROGRAM, share_plans=False, cache_size=4)
     modern = SemiNaiveEngine(
-        PROGRAM, options=EngineOptions(use_plans=False, cache_size=4)
+        PROGRAM, options=EngineOptions(share_plans=False, cache_size=4)
     )
     assert legacy.evaluate(DATABASE) == modern.evaluate(DATABASE)
-    assert legacy.use_plans is modern.use_plans is False
+    assert legacy.share_plans is modern.share_plans is False
     assert legacy.fixpoint_cache_info().capacity == 4
 
 
 def test_engine_rejects_mixing_options_and_legacy_kwargs():
     with pytest.raises(ValueError, match="not both"):
-        SemiNaiveEngine(PROGRAM, use_plans=False, options=EngineOptions())
+        SemiNaiveEngine(PROGRAM, cache_size=4, options=EngineOptions())
 
 
 def test_engine_default_construction_does_not_warn():

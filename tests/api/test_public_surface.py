@@ -9,6 +9,7 @@ in the same commit.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 
 import pytest
@@ -86,6 +87,17 @@ PUBLIC_SURFACE = {
 }
 
 
+#: The tuning knobs of EngineOptions.  Adding one is an API change like an
+#: export: update this snapshot and the docs/API.md reference together.
+ENGINE_OPTION_FIELDS = [
+    "seed_plans",
+    "share_plans",
+    "cache_size",
+    "force_generic",
+    "on_diagnostics",
+]
+
+
 @pytest.mark.parametrize("module_name", sorted(PUBLIC_SURFACE))
 def test_public_all_matches_the_snapshot(module_name):
     module = importlib.import_module(module_name)
@@ -106,3 +118,13 @@ def test_default_backends_snapshot():
     from repro import available_backends
 
     assert list(available_backends()) == ["automata", "monadic", "semi-naive"]
+
+
+def test_engine_options_fields_match_the_snapshot():
+    from repro import EngineOptions
+
+    names = [field.name for field in dataclasses.fields(EngineOptions)]
+    assert names == ENGINE_OPTION_FIELDS, (
+        "EngineOptions fields changed; if intentional, update this snapshot "
+        "and docs/API.md together"
+    )

@@ -175,9 +175,9 @@ def test_query_many_automata_compiles_one_program_over_the_label_union():
 
 
 def test_options_flow_into_session_built_engines():
-    session = Session(EngineOptions(use_plans=False, cache_size=3))
+    session = Session(EngineOptions(share_plans=False, cache_size=3))
     engine = session.engine(REACH)
-    assert engine.use_plans is False
+    assert engine.share_plans is False
     assert engine.fixpoint_cache_info().capacity == 3
 
 

@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from repro.datalog import (
@@ -234,3 +240,46 @@ def test_ltur_agrees_with_seminaive_on_ground_horn():
     ltur_truth = solver.solve()
     assert {v for (name, v) in ltur_truth if name == "p"} == {v[0] for v in seminaive["p"]}
     assert {v for (name, v) in ltur_truth if name == "s"} == {v[0] for v in seminaive["s"]}
+
+
+# Six mutually recursive rules over three head predicates: the order in
+# which the semi-naive sweep visits the heads decides how deltas batch up.
+_HASH_SEED_PROBE = textwrap.dedent(
+    """
+    from repro.datalog import SemiNaiveEngine, parse_program
+
+    program = parse_program('''
+        a(X, Y) :- e(X, Y).
+        b(X, Y) :- a(X, Z), f(Z, Y).
+        c(X, Y) :- b(X, Z), e(Z, Y).
+        a(X, Y) :- c(X, Z), f(Z, Y).
+        b(X, Y) :- c(X, Z), e(Z, Y).
+        c(X, Y) :- a(X, Z), e(Z, Y).
+    ''')
+    database = {
+        "e": {(i, (i * 7 + 3) % 40) for i in range(40)},
+        "f": {(i, (i * 11 + 5) % 40) for i in range(40)},
+    }
+    engine = SemiNaiveEngine(program)
+    engine.evaluate(database)
+    print(tuple(engine.engine_info()))
+    """
+)
+
+
+def test_engine_info_does_not_depend_on_the_hash_seed():
+    # engine_info() counters are reported as per-layer benchmark metrics,
+    # so two interpreters with different string hashing must agree on them.
+    src = Path(__file__).resolve().parents[2] / "src"
+    outputs = set()
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+        completed = subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_PROBE],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+        )
+        outputs.add(completed.stdout)
+    assert len(outputs) == 1, outputs

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.datalog import EngineOptions, reference_evaluate, tree_database
 from repro.mdatalog import (
     InformationExtractionFunction,
     MonadicProgram,
@@ -116,9 +117,9 @@ def test_query_agreement_helper(figure1):
     assert not first.agrees_with(third, figure1)
 
 
-def test_use_index_flag_threads_through_generic_path():
-    # use_index=False retains the seed nested-loop join; both strategies
-    # must select the same nodes through the evaluator API.
+def test_options_thread_through_generic_path():
+    # Options reach the generic fallback engine, and the nodes it selects
+    # are the reference oracle's fixpoint over the same tree EDB.
     program = MonadicProgram.parse(
         """
         mark(X) :- label_b(X).
@@ -127,12 +128,15 @@ def test_use_index_flag_threads_through_generic_path():
         """,
     )
     document = random_tree(80, labels=("a", "b"), seed=11)
-    indexed = MonadicTreeEvaluator(program, force_generic=True)
-    nested = MonadicTreeEvaluator(program, force_generic=True, use_index=False)
-    assert not indexed.uses_ground_pipeline and not nested.uses_ground_pipeline
-    assert indexes(indexed.select(document, "mark")) == indexes(
-        nested.select(document, "mark")
+    evaluator = MonadicTreeEvaluator(
+        program, options=EngineOptions(force_generic=True, cache_size=2)
     )
+    assert not evaluator.uses_ground_pipeline
+    assert evaluator.fixpoint_cache_info().capacity == 2
+    oracle = reference_evaluate(program.to_datalog_program(), tree_database(document))
+    assert indexes(evaluator.select(document, "mark")) == {
+        index for (index,) in oracle["mark"]
+    }
 
 
 def test_generic_path_observes_document_mutation():

@@ -1,14 +1,17 @@
-"""Property-based equivalence of the engine's three join strategies.
+"""The engine against its reference oracle, over random programs.
 
 Randomised datalog programs (with recursion, stratified negation, and
-comparison builtins) over randomised extensional databases must produce the
-same fixpoint whether the engine evaluates through compiled rule plans (the
-default), the PR-1 per-call indexed join (``use_plans=False``), or the seed
-nested-loop scan (``use_index=False``) — plans and indexes are pure
-evaluation-strategy changes.  The same holds for *where* the plans come
-from: engines sharing one compilation through the registry
-(``share_plans=True``, the default) must agree with privately compiled
-engines (``share_plans=False``).
+comparison builtins) over randomised extensional databases must produce
+exactly the fixpoint of :func:`~repro.datalog.reference.reference_evaluate`
+(the seed nested-loop evaluator) — directly, through the public
+:class:`repro.api.Session` surface, and after the engine's compiled plans
+and join-order memos have been warmed on another database.  The same holds
+for *where* the plans come from (a shared :class:`~repro.datalog.registry.
+PlanRegistry` or a private compilation) and for what the
+:class:`~repro.datalog.cache.FixpointCache` returns on a hit.
+
+The program/database generators are shared with the other property suites
+(same schema, same shrinking behaviour).
 """
 
 from __future__ import annotations
@@ -16,7 +19,14 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.datalog import SemiNaiveEngine
+from repro.api import Session
+from repro.datalog import (
+    EngineOptions,
+    PlanRegistry,
+    SemiNaiveEngine,
+    parse_program,
+    reference_evaluate,
+)
 from repro.datalog.ast import Atom, Constant, Literal, Program, Rule, Variable
 
 # A small fixed schema keeps the generator simple while still exercising
@@ -115,11 +125,9 @@ def databases(draw):
 @settings(max_examples=60, deadline=None)
 @given(program=programs(), database=databases())
 def test_planned_indexed_and_nested_loop_fixpoints_agree(program, database):
-    planned = SemiNaiveEngine(program).evaluate(database)
-    indexed = SemiNaiveEngine(program, use_plans=False).evaluate(database)
-    nested = SemiNaiveEngine(program, use_index=False).evaluate(database)
-    assert planned == indexed
-    assert indexed == nested
+    assert SemiNaiveEngine(program).evaluate(database) == reference_evaluate(
+        program, database
+    )
 
 
 @settings(max_examples=40, deadline=None)
@@ -131,7 +139,7 @@ def test_shared_registry_fixpoints_match_private_compilation(program, database):
     # cross-engine plan sharing is invisible to evaluation.
     shared_first = SemiNaiveEngine(program)
     shared_second = SemiNaiveEngine(program)
-    private = SemiNaiveEngine(program, share_plans=False)
+    private = SemiNaiveEngine(program, options=EngineOptions(share_plans=False))
     if shared_second._stratum_plans:
         assert (
             shared_second._stratum_plans[0][0] is shared_first._stratum_plans[0][0]
@@ -145,21 +153,64 @@ def test_shared_registry_fixpoints_match_private_compilation(program, database):
 @given(program=programs(), database=databases())
 def test_plan_reuse_across_databases_stays_equivalent(program, database):
     # One engine (compiled plans reused and bucket-memoised across calls)
-    # must agree with a fresh nested-loop engine on every database,
-    # including after evaluating a different database in between.
+    # must agree with the oracle on every database, including after
+    # evaluating a different database in between.
     engine = SemiNaiveEngine(program)
     warmup = {predicate: set(list(facts)[:1]) for predicate, facts in database.items()}
     engine.evaluate(warmup)
-    planned = engine.evaluate(database)
-    nested = SemiNaiveEngine(program, use_index=False).evaluate(database)
-    assert planned == nested
+    assert engine.evaluate(database) == reference_evaluate(program, database)
+
+
+@settings(max_examples=25, deadline=None)
+@given(program=programs(), database=databases())
+def test_session_query_matches_the_reference(program, database):
+    result = Session().query(program, database)
+    answers = {
+        predicate: result.evaluation.query(predicate)
+        for predicate in result.evaluation.predicates()
+    }
+    expected = reference_evaluate(program, database)
+    assert answers == {predicate: frozenset(facts) for predicate, facts in expected.items()}
+
+
+@settings(max_examples=25, deadline=None)
+@given(program=programs(), database=databases())
+def test_fixpoint_cache_hit_returns_the_stored_fixpoint(program, database):
+    # The cache keys on database content, never on storage internals: a
+    # re-evaluation must hit and hand back the stored entry itself, whose
+    # facts are the oracle's fixpoint.
+    engine = SemiNaiveEngine(program)
+    first = engine.fixpoint(database)
+    before = engine.fixpoint_cache_info()
+    again = engine.fixpoint(database)
+    after = engine.fixpoint_cache_info()
+    assert again is first
+    assert after.hits == before.hits + 1
+    assert first.facts() == reference_evaluate(program, database)
+
+
+@settings(max_examples=25, deadline=None)
+@given(program=programs(), database=databases())
+def test_plan_registry_shares_one_compilation_across_options(program, database):
+    # Compiled programs are keyed by content fingerprint only — engines
+    # with different tuning re-use the *same* compiled plans and still
+    # compute the oracle's fixpoint.
+    registry = PlanRegistry()
+    default = SemiNaiveEngine(program, registry=registry)
+    tuned = SemiNaiveEngine(
+        program, options=EngineOptions(seed_plans=False, cache_size=2), registry=registry
+    )
+    if default._stratum_plans:
+        assert default._stratum_plans[0][0] is tuned._stratum_plans[0][0]
+    expected = reference_evaluate(program, database)
+    assert default.evaluate(database) == expected
+    assert tuned.evaluate(database) == expected
+    assert registry.info().misses <= 1
 
 
 @settings(max_examples=30, deadline=None)
 @given(database=st.sets(st.tuples(DOMAIN, DOMAIN), min_size=0, max_size=12))
 def test_transitive_closure_agrees_on_random_graphs(database):
-    from repro.datalog import parse_program
-
     program = parse_program(
         """
         reach(X, Y) :- edge(X, Y).
@@ -170,7 +221,4 @@ def test_transitive_closure_agrees_on_random_graphs(database):
         """
     )
     edb = {"edge": set(database)}
-    planned = SemiNaiveEngine(program).evaluate(edb)
-    indexed = SemiNaiveEngine(program, use_plans=False).evaluate(edb)
-    nested = SemiNaiveEngine(program, use_index=False).evaluate(edb)
-    assert planned == indexed == nested
+    assert SemiNaiveEngine(program).evaluate(edb) == reference_evaluate(program, edb)
