@@ -15,7 +15,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench import scaling_tree, wide_program
-from repro.datalog import SemiNaiveEngine, reference_evaluate, tree_database
+from repro.datalog import EngineOptions, SemiNaiveEngine, reference_evaluate, tree_database
 from repro.mdatalog import MonadicTreeEvaluator
 
 PROGRAM = wide_program(24)
@@ -24,7 +24,7 @@ DOCUMENT = scaling_tree(3_000, seed=91)
 
 def test_ground_pipeline_is_competitive_with_indexed_generic(best_of):
     fast = MonadicTreeEvaluator(PROGRAM)
-    slow = MonadicTreeEvaluator(PROGRAM, force_generic=True)
+    slow = MonadicTreeEvaluator(PROGRAM, options=EngineOptions(force_generic=True))
     assert fast.uses_ground_pipeline and not slow.uses_ground_pipeline
 
     fast_time, fast_result = best_of(lambda: fast.evaluate(DOCUMENT))

@@ -11,14 +11,9 @@ import time
 
 import pytest
 
+from repro import Pipeline
 from repro.elog import parse_elog
-from repro.server import (
-    InformationPipe,
-    IntegrationComponent,
-    SortComponent,
-    WrapperComponent,
-    XmlDeliverer,
-)
+from repro.server import XmlDeliverer
 from repro.web import SimulatedWeb
 from repro.web.sites.bookstore import bookstore_site
 
@@ -47,20 +42,19 @@ SHOP_C_WRAPPER = parse_elog(
 )
 
 
-def build_pipe() -> InformationPipe:
+def build_pipe() -> Pipeline:
     web = SimulatedWeb()
     web.publish_many(bookstore_site(count=BOOKS_PER_SHOP, seed=3))
-    pipe = InformationPipe("books")
-    pipe.add(WrapperComponent("shop_a", SHOP_A_WRAPPER, web, "books-a.test/bestsellers"))
-    pipe.add(WrapperComponent("shop_b", SHOP_B_WRAPPER, web, "books-b.test/chart"))
-    pipe.add(WrapperComponent("shop_c", SHOP_C_WRAPPER, web, "books-c.test/picks"))
-    pipe.add(IntegrationComponent("integrate", root_name="allbooks"))
-    pipe.add(SortComponent("by_price", "book", "price", root_name="offers"))
-    pipe.add(XmlDeliverer("deliver"))
-    for shop in ("shop_a", "shop_b", "shop_c"):
-        pipe.connect(shop, "integrate")
-    pipe.chain("integrate", "by_price", "deliver")
-    return pipe
+    return (
+        Pipeline.builder("books")
+        .wrapper("shop_a", SHOP_A_WRAPPER, web, "books-a.test/bestsellers")
+        .wrapper("shop_b", SHOP_B_WRAPPER, web, "books-b.test/chart")
+        .wrapper("shop_c", SHOP_C_WRAPPER, web, "books-c.test/picks")
+        .integrate("integrate", inputs=["shop_a", "shop_b", "shop_c"], root_name="allbooks")
+        .sort("by_price", "book", "price", root_name="offers")
+        .deliver(XmlDeliverer("deliver"))
+        .build()
+    )
 
 
 def test_pipeline_integrates_all_sources():

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import time
 
+from repro import EngineOptions, Pipeline
 from repro.bench import scaling_tree, wide_program
-from repro.server import DatalogQueryComponent, InformationPipe, TransformationServer
+from repro.server import DatalogQueryComponent, TransformationServer
 
 WORKING_SET = 4
 
@@ -27,16 +28,15 @@ def _working_set_documents(size):
 def _build_server(documents, cache_size, rotation):
     program = wide_program(12)
     server = TransformationServer()
-    pipe = InformationPipe("wrappers")
     component = DatalogQueryComponent(
         "wrap",
         program,
         supplier=lambda: documents[rotation["tick"] % len(documents)],
-        cache_size=cache_size,
-        force_generic=True,  # exercise the generic engine's fixpoint LRU
+        # force_generic: exercise the generic engine's fixpoint LRU
+        options=EngineOptions(cache_size=cache_size, force_generic=True),
     )
-    pipe.add(component)
-    server.register(pipe, period=1)
+    pipe = Pipeline.builder("wrappers").stage(component, is_source=True).build()
+    pipe.serve(server, period=1)
     return server, component
 
 
@@ -96,7 +96,7 @@ def test_ground_pipeline_lru_hits_across_rebuilt_documents(quick, bench_record):
         "wrap",
         program,
         supplier=lambda: (documents + rebuilt)[rotation["tick"] % (2 * WORKING_SET)],
-        cache_size=8,
+        options=EngineOptions(cache_size=8),
     )
     for _ in range(2 * WORKING_SET):
         component.process([])

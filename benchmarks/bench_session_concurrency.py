@@ -12,9 +12,9 @@ points ``max_workers=`` thread-pool paths.  Two workload families go into
   evaluation is GIL-bound, so threads buy little — the point is they must
   not *cost* much either).
 * ``extract_many_parallel_*`` — the fetch-bound ``urls=`` batch path: a
-  latency-simulating fetcher makes acquisition dominate, and the
-  async-capable fetcher protocol overlaps fetching with evaluation, so
-  ``max_workers=8`` must beat the sequential stream decisively.
+  latency-simulating fetcher makes acquisition dominate, and the batch
+  runner's thread window overlaps later fetches with earlier extractions,
+  so ``max_workers=8`` must beat the sequential stream decisively.
 """
 
 from __future__ import annotations
@@ -184,7 +184,7 @@ def test_extract_many_parallel_beats_sequential_on_fetch_bound_urls(
         f"{min(parallel_samples):.4f} s (speed-up {speedup:.1f}x)"
     )
     # Fetch latency dominates and overlaps across 8 workers; anything less
-    # than a clear win means the async fetcher path stopped overlapping.
+    # than a clear win means the thread window stopped overlapping fetches.
     assert speedup >= 1.5
 
 

@@ -22,9 +22,9 @@ The façade's main entry points are re-exported here, so::
     from repro import Session, Pipeline, EngineOptions
 
 is all most programs need.  The layer modules stay importable for theory
-work and tests; their pre-façade tuning kwargs and imperative pipeline
-wiring keep working but emit :class:`DeprecationWarning` (see docs/API.md
-for migration notes).
+work and tests; they are tuned through ``options=EngineOptions(...)`` only
+(the pre-façade tuning kwargs and the imperative ``InformationPipe``
+wiring are removed — see docs/API.md for migration notes).
 """
 
 from .api import (

@@ -33,8 +33,8 @@ returns a :class:`Pipeline` — a façade over
 register itself on a :class:`~repro.server.pipeline.TransformationServer`
 (:meth:`Pipeline.serve`).
 
-The old imperative wiring keeps working as a deprecation shim
-(``InformationPipe.add/connect/chain`` emit :class:`DeprecationWarning`).
+The imperative ``InformationPipe.add/connect/chain`` wiring is removed;
+the builder is the one way to assemble a pipe.
 """
 
 from __future__ import annotations

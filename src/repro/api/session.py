@@ -23,11 +23,14 @@ back as the uniform :class:`~repro.api.results.QueryResult` /
 The batch entry points — :meth:`Session.query_many` and
 :meth:`Session.extract_many` — are the server-style path: one compiled
 program, one interpreter, streamed over many documents, so plan sharing
-and the fixpoint LRUs do their work across the whole stream.  Both accept
-``max_workers=`` to run the stream on a thread pool, and the ``urls=``
-extraction path overlaps fetching with evaluation through the
-async-capable fetcher protocol (:meth:`repro.elog.extractor.Fetcher.
-fetch_async`).
+and the fixpoint LRUs do their work across the whole stream.  Each one
+resolves its program once, describes the per-item work, and hands the
+stream to the batch slot runner (:func:`repro.distrib.executor.run_slots`)
+shared with :meth:`repro.server.pipeline.TransformationServer.run_all`.
+The runner has three modes with one slot semantics — inline (default), a
+bounded thread window (``max_workers=``; on the ``urls=`` path later
+fetches overlap earlier extractions), and worker processes
+(``workers=``) — and one collector for ``on_error``.
 
 Thread safety: one ``Session`` is safe to share across the request threads
 of a server front end.  Every session-scale cache locks internally
@@ -40,9 +43,7 @@ concurrency").
 
 from __future__ import annotations
 
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from ..analysis.analyzer import ELOG, analyze as _analyze_program, sniff_kind
 from ..analysis.datalog_checks import TREE_SIGNATURE
@@ -53,27 +54,19 @@ from ..datalog.engine import EngineInfo, aggregate_engine_info
 from ..datalog.options import DEFAULT_OPTIONS, EngineOptions
 from ..datalog.parser import DatalogSyntaxError
 from ..datalog.registry import PlanRegistry, program_fingerprint
-from ..distrib.envelope import TaskEnvelope
-from ..distrib.executor import (
-    DistribInfo,
-    DistribOptions,
-    DistribStats,
-    ProcessExecutor,
-    resolve_distrib,
-)
+from ..distrib.envelope import ResultEnvelope, TaskEnvelope
+from ..distrib.executor import DistribInfo, DistribStats, SlotUrl, run_slots
 from ..distrib.journal import task_id_for
 from ..elog.ast import ElogProgram
 from ..elog.extractor import (
     Extractor,
     ExtractorCache,
     Fetcher,
-    PrefetchedFetcher,
     wrapper_fingerprint,
 )
 from ..elog.parser import ElogSyntaxError, parse_elog
 from ..mdatalog.program import MonadicProgram
 from ..resilience.policy import (
-    ON_ERROR_POLICIES,
     ErrorResult,
     ResilienceInfo,
     ResiliencePolicy,
@@ -162,17 +155,6 @@ class Session:
     # ------------------------------------------------------------------
     # Resilience plumbing
     # ------------------------------------------------------------------
-    def _resolve_on_error(self, on_error: Optional[str]) -> str:
-        """An explicit ``on_error=`` wins; otherwise the session policy's
-        default applies (``"raise"`` without a policy)."""
-        if on_error is None:
-            return self.resilience.on_error if self.resilience is not None else "raise"
-        if on_error not in ON_ERROR_POLICIES:
-            raise ValueError(
-                f"on_error={on_error!r}: expected one of {ON_ERROR_POLICIES}"
-            )
-        return on_error
-
     def _resilient(self, fetcher: Optional[Fetcher]) -> Optional[Fetcher]:
         """``fetcher`` hardened under the session policy (pass-through when
         no policy or no fetcher).  A fresh wrapper per call: retry state is
@@ -183,17 +165,6 @@ class Session:
         return ResilientFetcher(
             fetcher, self.resilience, stats=self._resilience_stats
         )
-
-    def _isolated(
-        self,
-        error: BaseException,
-        *,
-        index: int,
-        url: Optional[str] = None,
-        backend: str = "error",
-    ) -> ErrorResult:
-        self._resilience_stats.bump("errors_isolated")
-        return ErrorResult.from_exception(error, index=index, url=url, backend=backend)
 
     # ------------------------------------------------------------------
     # Evaluator construction (memoised per backend + program content)
@@ -304,49 +275,30 @@ class Session:
         union of the documents' labels is compiled instead of one per
         document.
 
-        ``max_workers`` > 1 evaluates the stream on a thread pool (result
-        order still matches ``sources``).  Evaluation is safe to fan out —
-        per-call state is call-local and the shared caches lock — but it is
-        CPU-bound Python, so threads pay the GIL; the pool buys the most
-        when sources hit the fixpoint LRU unevenly or the caller's fetcher
-        / supplier does I/O.
+        Every batch runs through one slot runner
+        (:func:`repro.distrib.executor.run_slots`) in one of three modes,
+        all with the same slot semantics and result order (``sources``
+        order): inline by default; ``max_workers`` > 1 on a thread pool
+        with ``max_workers * 4`` sources in flight (evaluation is safe to
+        fan out, but it is CPU-bound Python, so threads pay the GIL); and
+        ``workers`` (``"process"``, a worker count, or a
+        :class:`~repro.distrib.DistribOptions`) on worker **processes**
+        through the distrib subsystem (real CPU parallelism, durable
+        journal, crash recovery — see docs/DISTRIB.md).  ``sources`` may be
+        a generator in every mode; it is then never materialised, and the
+        automata backend needs an explicit ``labels=`` (the label-union
+        pass reads sequences only).
 
         ``on_error`` isolates per-source failures: ``"raise"`` (default)
-        aborts the batch on the first failure, ``"skip"`` drops failed
-        slots, ``"collect"`` yields an
-        :class:`~repro.resilience.policy.ErrorResult` in the failed slot
-        (result order still matches ``sources``).  A session constructed
-        with ``resilience=`` defaults to its policy's ``on_error``.
-
-        ``workers`` scales *out*: ``"process"``, a worker count, or a
-        :class:`~repro.distrib.DistribOptions` runs the batch on worker
-        **processes** through the distrib subsystem (real CPU parallelism,
-        durable journal, crash recovery — see docs/DISTRIB.md); the
-        ``on_error`` slot semantics are unchanged.  ``sources`` may also be
-        a generator: the stream feeds a bounded dispatch window instead of
-        being materialised (label-union derivation then needs an explicit
-        ``labels=`` for the automata backend).
+        fails the batch with the first failed slot's error, ``"skip"``
+        drops failed slots, ``"collect"`` yields an
+        :class:`~repro.resilience.policy.ErrorResult` in the failed slot.
+        A session constructed with ``resilience=`` defaults to its policy's
+        ``on_error``.
         """
-        on_error = self._resolve_on_error(on_error)
-        if workers is not None:
-            return self._query_many_process(
-                program,
-                sources,
-                backend,
-                labels=labels,
-                on_error=on_error,
-                distrib=resolve_distrib(workers),
-            )
-        if not isinstance(sources, Sequence):
-            return self._query_many_stream(
-                program,
-                sources,
-                backend,
-                labels=labels,
-                max_workers=max_workers,
-                on_error=on_error,
-            )
-        if labels is None:
+        if labels is None and isinstance(sources, Sequence):
+            # The automata label-union pass (a generator cannot be read
+            # twice, so streamed batches need an explicit labels=).
             union: set = set()
             for source in sources:
                 if isinstance(source, Document):
@@ -357,121 +309,22 @@ class Session:
         # content cache key N times just to hit the same memo entry.
         resolved, native, label_key = self._resolve(program, backend, labels)
         self._enforce_diagnostics(resolved, native)
-        evaluator = self._memoised(resolved, native, label_key)
-        parallel = max_workers is not None and max_workers > 1 and len(sources) > 1
-        if on_error == "raise":
-            # The pre-resilience fast path, byte-for-byte.
-            if parallel:
-                with ThreadPoolExecutor(
-                    max_workers=max_workers, thread_name_prefix="repro-query"
-                ) as pool:
-                    return list(
-                        pool.map(
-                            lambda source: resolved.run(evaluator, source), sources
-                        )
-                    )
-            return [resolved.run(evaluator, source) for source in sources]
+        if workers is None:
+            evaluator = self._memoised(resolved, native, label_key)
 
-        def guarded(index: int, source: object) -> QueryResult:
-            try:
+            def work(index: int, source: object) -> object:
                 return resolved.run(evaluator, source)
-            except Exception as error:
-                return self._isolated(error, index=index, backend=resolved.name)
 
-        if parallel:
-            with ThreadPoolExecutor(
-                max_workers=max_workers, thread_name_prefix="repro-query"
-            ) as pool:
-                slots = list(
-                    pool.map(lambda pair: guarded(*pair), enumerate(sources))
-                )
         else:
-            slots = [guarded(index, source) for index, source in enumerate(sources)]
-        if on_error == "skip":
-            return [slot for slot in slots if not isinstance(slot, ErrorResult)]
-        return slots
+            # Workers get the program as source/AST — never compiled plans
+            # — and re-hydrate it through their own registry, verified
+            # against this fingerprint.
+            fingerprint = (
+                program_fingerprint(native) if isinstance(native, Program) else None
+            )
 
-    def _query_many_stream(
-        self,
-        program: object,
-        sources: Iterable[object],
-        backend: Optional[str],
-        *,
-        labels: Optional[Iterable[str]],
-        max_workers: Optional[int],
-        on_error: str,
-    ) -> List[QueryResult]:
-        """:meth:`query_many` over a generator: one source in memory at a
-        time (sequential) or a bounded thread-pool dispatch window
-        (``max_workers * 4`` submissions in flight), never the whole batch.
-        No label-union pass — that would consume the stream — so the
-        automata backend needs an explicit ``labels=`` here."""
-        resolved, native, label_key = self._resolve(program, backend, labels)
-        self._enforce_diagnostics(resolved, native)
-        evaluator = self._memoised(resolved, native, label_key)
-
-        def evaluate(index: int, source: object) -> QueryResult:
-            if on_error == "raise":
-                return resolved.run(evaluator, source)
-            try:
-                return resolved.run(evaluator, source)
-            except Exception as error:
-                return self._isolated(error, index=index, backend=resolved.name)
-
-        slots: List[QueryResult] = []
-        if max_workers is not None and max_workers > 1:
-            window = max_workers * 4
-            with ThreadPoolExecutor(
-                max_workers=max_workers, thread_name_prefix="repro-query"
-            ) as pool:
-                jobs: deque = deque()
-                for index, source in enumerate(sources):
-                    jobs.append(pool.submit(evaluate, index, source))
-                    if len(jobs) >= window:
-                        slots.append(jobs.popleft().result())
-                while jobs:
-                    slots.append(jobs.popleft().result())
-        else:
-            slots = [
-                evaluate(index, source) for index, source in enumerate(sources)
-            ]
-        if on_error == "skip":
-            return [slot for slot in slots if not isinstance(slot, ErrorResult)]
-        return slots
-
-    def _query_many_process(
-        self,
-        program: object,
-        sources: Iterable[object],
-        backend: Optional[str],
-        *,
-        labels: Optional[Iterable[str]],
-        on_error: str,
-        distrib: DistribOptions,
-    ) -> List[QueryResult]:
-        """:meth:`query_many` on worker processes (the distrib subsystem).
-
-        The program is resolved (and its diagnostics enforced) in the
-        parent, then shipped as source/AST — never compiled plans — and
-        re-hydrated through each worker's own registry, fingerprint-
-        verified.  Sequences still get the automata label-union pass;
-        generators stream straight into the executor's bounded window.
-        """
-        if labels is None and isinstance(sources, Sequence):
-            union: set = set()
-            for source in sources:
-                if isinstance(source, Document):
-                    union.update(source.labels())
-            labels = union or None
-        resolved, native, label_key = self._resolve(program, backend, labels)
-        self._enforce_diagnostics(resolved, native)
-        fingerprint = (
-            program_fingerprint(native) if isinstance(native, Program) else None
-        )
-
-        def envelopes() -> Iterable[TaskEnvelope]:
-            for index, source in enumerate(sources):
-                yield TaskEnvelope(
+            def work(index: int, source: object) -> object:
+                return TaskEnvelope(
                     task_id=task_id_for(index),
                     index=index,
                     kind="query",
@@ -487,39 +340,43 @@ class Session:
                     ),
                 )
 
-        executor = ProcessExecutor(distrib, stats=self._distrib_stats)
-        outcomes = executor.run(envelopes())
-        return self._collect_outcomes(outcomes, on_error, backend=resolved.name)
+        return self._run_batch(
+            sources, work, on_error, resolved.name, max_workers, workers
+        )
 
-    def _collect_outcomes(
-        self, outcomes, on_error: str, *, backend: str
-    ) -> List[QueryResult]:
-        """Distrib results back into batch-slot semantics.
+    def _run_batch(
+        self,
+        items: Iterable[object],
+        work: Callable[[int, object], object],
+        on_error: Optional[str],
+        backend: str,
+        max_workers: Optional[int],
+        workers: object,
+        url: SlotUrl = None,
+    ) -> list:
+        """Every batch entry point's last step: the slot runner, with this
+        session's ``on_error`` default, failure accounting and distrib
+        counters."""
+        if on_error is None:  # an explicit on_error= wins over the policy's
+            on_error = self.resilience.on_error if self.resilience is not None else "raise"
 
-        ``"raise"`` re-raises the lowest-index failure (the distributed
-        batch has already drained — workers evaluate independently, so
-        "abort on first failure" means "fail with the first slot's
-        error"); ``"skip"`` / ``"collect"`` mirror the thread paths,
-        including the :meth:`_isolated` accounting.
-        """
-        slots: List[QueryResult] = []
-        for outcome in outcomes:
-            if outcome.ok:
-                slots.append(outcome.result)
-            elif on_error == "raise":
-                raise outcome.error
-            else:
-                slots.append(
-                    self._isolated(
-                        outcome.error,
-                        index=outcome.index,
-                        url=outcome.url,
-                        backend=backend,
-                    )
-                )
-        if on_error == "skip":
-            return [slot for slot in slots if not isinstance(slot, ErrorResult)]
-        return slots
+        def isolate(outcome: ResultEnvelope) -> ErrorResult:
+            self._resilience_stats.bump("errors_isolated")
+            return ErrorResult.from_exception(
+                outcome.error, index=outcome.index, url=outcome.url, backend=backend
+            )
+
+        slots = run_slots(
+            items,
+            work,
+            on_error=on_error,
+            isolate=isolate,
+            max_workers=max_workers,
+            workers=workers,
+            stats=self._distrib_stats,
+            url=url,
+        )
+        return [slot for _, slot in slots]
 
     def select(
         self,
@@ -617,290 +474,66 @@ class Session:
         each document (or fetched URL) yields its own
         :class:`ExtractionResult`.
 
-        ``max_workers`` > 1 runs the stream concurrently, and the ``urls=``
-        path additionally *overlaps fetching with evaluation*: every URL's
-        acquisition starts up front on a dedicated fetch pool (through
-        :meth:`~repro.elog.extractor.Fetcher.fetch_async`), and extraction
-        consumes the in-flight futures through a
-        :class:`~repro.elog.extractor.PrefetchedFetcher` — so on
-        fetch-bound workloads the wall clock approaches
-        max(total fetch / workers, total evaluation).  Result order always
-        matches ``documents`` + ``urls``; fetch errors surface on the
-        result exactly as the sequential path raises them.
-
-        ``on_error`` isolates per-document failures — ``"raise"``
-        (default) / ``"skip"`` / ``"collect"``, exactly as in
-        :meth:`query_many`; a collected failure's
-        :class:`~repro.resilience.policy.ErrorResult` carries the slot's
-        URL (when it has one) plus the attempt/elapsed metadata the retry
-        layer annotated.  A session constructed with ``resilience=``
+        ``max_workers`` / ``workers`` / ``on_error`` and generator inputs
+        behave exactly as in :meth:`query_many`; result order always
+        matches ``documents`` + ``urls``.  On the thread pool each ``urls=``
+        slot fetches inside its own task, so with ``max_workers`` tasks in
+        flight the fetches of later URLs overlap the extraction of earlier
+        ones — on fetch-bound workloads the wall clock approaches
+        max(total fetch / workers, total evaluation).  A collected
+        failure's :class:`~repro.resilience.policy.ErrorResult` carries the
+        slot's URL (when it has one) plus the attempt/elapsed metadata the
+        retry layer annotated.  A session constructed with ``resilience=``
         additionally routes every fetch through a
         :class:`~repro.resilience.retry.ResilientFetcher` and defaults
         ``on_error`` to its policy's.
-
-        ``workers`` scales *out* (``"process"`` / a worker count /
-        :class:`~repro.distrib.DistribOptions`): the stream runs on worker
-        processes through the distrib subsystem — see docs/DISTRIB.md.
-        ``documents`` / ``urls`` may be generators; they then stream into a
-        bounded dispatch window instead of being materialised (the URL
-        prefetch overlap applies to sequence inputs only).
         """
-        on_error = self._resolve_on_error(on_error)
-        if workers is not None:
-            return self._extract_many_process(
-                program, documents, urls, fetcher, on_error,
-                resolve_distrib(workers),
-            )
-        if not (
-            isinstance(documents, Sequence) and isinstance(urls, Sequence)
-        ):
-            return self._extract_many_stream(
-                program, documents, urls, fetcher, max_workers, on_error
-            )
         extractor = self.wrapper(program, fetcher)
-        run_fetcher = fetcher
-        if self.resilience is not None and fetcher is not None:
-            run_fetcher = self._resilient(fetcher)
-            extractor = extractor.with_fetcher(run_fetcher)
-        auxiliary = extractor.program.auxiliary_patterns
-        if (
-            max_workers is not None
-            and max_workers > 1
-            and len(documents) + len(urls) > 1
-        ):
-            return self._extract_many_parallel(
-                extractor, auxiliary, documents, urls, run_fetcher, max_workers,
-                on_error,
-            )
-        if on_error == "raise":
-            # The pre-resilience fast path, byte-for-byte.
-            results = [
-                ExtractionResult(extractor.extract(document=doc), auxiliary=auxiliary)
-                for doc in documents
-            ]
-            results.extend(
-                ExtractionResult(extractor.extract(url=url), auxiliary=auxiliary)
-                for url in urls
-            )
-            return results
-        slots: List[ExtractionResult] = []
-        for index, doc in enumerate(documents):
-            try:
-                slots.append(
-                    ExtractionResult(extractor.extract(document=doc), auxiliary=auxiliary)
-                )
-            except Exception as error:
-                slots.append(
-                    self._isolated(
-                        error, index=index, url=getattr(doc, "url", None),
-                        backend="elog",
-                    )
-                )
-        for offset, url in enumerate(urls):
-            try:
-                slots.append(
-                    ExtractionResult(extractor.extract(url=url), auxiliary=auxiliary)
-                )
-            except Exception as error:
-                slots.append(
-                    self._isolated(
-                        error, index=len(documents) + offset, url=url, backend="elog"
-                    )
-                )
-        if on_error == "skip":
-            return [slot for slot in slots if not isinstance(slot, ErrorResult)]
-        return slots
-
-    def _extract_many_parallel(
-        self,
-        extractor: Extractor,
-        auxiliary,
-        documents: Sequence[Document],
-        urls: Sequence[str],
-        fetcher: Optional[Fetcher],
-        max_workers: int,
-        on_error: str = "raise",
-    ) -> List[ExtractionResult]:
-        # Two pools, never one: extraction tasks block on fetch futures, so
-        # sharing a pool could park every worker on a fetch that has no
-        # worker left to run (classic nested-submit deadlock).
-        fetch_pool: Optional[ThreadPoolExecutor] = None
-        try:
-            url_extractors = [extractor] * len(urls)
-            if urls and fetcher is not None:
-                fetch_pool = ThreadPoolExecutor(
-                    max_workers=max_workers, thread_name_prefix="repro-fetch"
-                )
-                # One fetch per URL *instance*, exactly like the sequential
-                # loop: a duplicated URL is fetched twice, so stateful
-                # fetchers (rotating content, per-fetch counters, transient
-                # errors) see the same calls either way.  Crawling targets
-                # beyond the start URL fall through to the base fetcher,
-                # synchronously — results match the sequential path byte
-                # for byte.
-                url_extractors = [
-                    extractor.with_fetcher(
-                        PrefetchedFetcher(
-                            fetcher, {url: fetcher.fetch_async(url, fetch_pool)}
-                        )
-                    )
-                    for url in urls
-                ]
-            with ThreadPoolExecutor(
-                max_workers=max_workers, thread_name_prefix="repro-extract"
-            ) as pool:
-                jobs = [
-                    pool.submit(extractor.extract, document=doc) for doc in documents
-                ]
-                jobs.extend(
-                    pool.submit(url_extractor.extract, url=url)
-                    for url, url_extractor in zip(urls, url_extractors)
-                )
-                if on_error == "raise":
-                    return [
-                        ExtractionResult(job.result(), auxiliary=auxiliary)
-                        for job in jobs
-                    ]
-                slot_urls = [getattr(doc, "url", None) for doc in documents]
-                slot_urls.extend(urls)
-                slots: List[ExtractionResult] = []
-                for index, (job, url) in enumerate(zip(jobs, slot_urls)):
-                    try:
-                        slots.append(
-                            ExtractionResult(job.result(), auxiliary=auxiliary)
-                        )
-                    except Exception as error:
-                        slots.append(
-                            self._isolated(
-                                error, index=index, url=url, backend="elog"
-                            )
-                        )
-                if on_error == "skip":
-                    return [
-                        slot for slot in slots if not isinstance(slot, ErrorResult)
-                    ]
-                return slots
-        finally:
-            if fetch_pool is not None:
-                fetch_pool.shutdown()
-
-    def _extract_many_stream(
-        self,
-        program: "ElogProgram | str",
-        documents: Iterable[Document],
-        urls: Iterable[str],
-        fetcher: Optional[Fetcher],
-        max_workers: Optional[int],
-        on_error: str,
-    ) -> List[ExtractionResult]:
-        """:meth:`extract_many` over generators: bounded dispatch window,
-        no batch materialisation, no up-front URL prefetch pass (fetches
-        overlap through the pool threads themselves)."""
-        extractor = self.wrapper(program, fetcher)
-        if self.resilience is not None and fetcher is not None:
-            extractor = extractor.with_fetcher(self._resilient(fetcher))
-        auxiliary = extractor.program.auxiliary_patterns
 
         def stream() -> Iterable[Tuple[str, object]]:
-            for doc in documents:
-                yield ("document", doc)
+            for document in documents:
+                yield "document", document
             for url in urls:
-                yield ("url", url)
+                yield "url", url
 
-        def evaluate(index: int, kind: str, item: object) -> ExtractionResult:
-            url = item if kind == "url" else getattr(item, "url", None)
-            try:
+        if workers is None:
+            if self.resilience is not None and fetcher is not None:
+                extractor = extractor.with_fetcher(self._resilient(fetcher))
+            auxiliary = extractor.program.auxiliary_patterns
+
+            def work(index: int, slot: Tuple[str, object]) -> object:
+                kind, item = slot
                 if kind == "url":
                     base = extractor.extract(url=item)
                 else:
                     base = extractor.extract(document=item)
                 return ExtractionResult(base, auxiliary=auxiliary)
-            except Exception as error:
-                if on_error == "raise":
-                    raise
-                return self._isolated(error, index=index, url=url, backend="elog")
 
-        slots: List[ExtractionResult] = []
-        if max_workers is not None and max_workers > 1:
-            window = max_workers * 4
-            with ThreadPoolExecutor(
-                max_workers=max_workers, thread_name_prefix="repro-extract"
-            ) as pool:
-                jobs: deque = deque()
-                for index, (kind, item) in enumerate(stream()):
-                    jobs.append(pool.submit(evaluate, index, kind, item))
-                    if len(jobs) >= window:
-                        slots.append(jobs.popleft().result())
-                while jobs:
-                    slots.append(jobs.popleft().result())
         else:
-            slots = [
-                evaluate(index, kind, item)
-                for index, (kind, item) in enumerate(stream())
-            ]
-        if on_error == "skip":
-            return [slot for slot in slots if not isinstance(slot, ErrorResult)]
-        return slots
-
-    def _extract_many_process(
-        self,
-        program: "ElogProgram | str",
-        documents: Iterable[Document],
-        urls: Iterable[str],
-        fetcher: Optional[Fetcher],
-        on_error: str,
-        distrib: DistribOptions,
-    ) -> List[ExtractionResult]:
-        """:meth:`extract_many` on worker processes.
-
-        The wrapper parses (and its diagnostics apply) in the parent;
-        workers re-build their interpreter from the shipped
-        :class:`~repro.elog.ast.ElogProgram` once each.  ``fetcher``
-        travels inside each URL envelope, and each worker's session wraps
-        it under the session's resilience policy exactly like the
-        in-process paths; worker-side fetch logs stay in the worker.
-        """
-        if isinstance(program, str):
-            program = self._parsed_wrapper(program)
-        if self.options.on_diagnostics != "ignore":
-            apply_policy(
-                self._elog_report(program),
-                self.options.on_diagnostics,
-                "elog wrapper",
-            )
-        wrapper_program = program
-
-        def envelopes() -> Iterable[TaskEnvelope]:
-            index = 0
-            for doc in documents:
-                yield TaskEnvelope(
+            # Workers rebuild their interpreter from the shipped program
+            # once each; the fetcher travels inside each URL envelope and
+            # is hardened under the same policy by the worker's session.
+            def work(index: int, slot: Tuple[str, object]) -> object:
+                kind, item = slot
+                return TaskEnvelope(
                     task_id=task_id_for(index),
                     index=index,
                     kind="extract",
-                    program=wrapper_program,
+                    program=extractor.program,
                     options=self.options,
                     resilience=self.resilience,
-                    payload=doc,
-                    payload_kind="document",
+                    payload=item,
+                    payload_kind=kind,
+                    fetcher=fetcher if kind == "url" else None,
                 )
-                index += 1
-            for url in urls:
-                yield TaskEnvelope(
-                    task_id=task_id_for(index),
-                    index=index,
-                    kind="extract",
-                    program=wrapper_program,
-                    options=self.options,
-                    resilience=self.resilience,
-                    payload=url,
-                    payload_kind="url",
-                    fetcher=fetcher,
-                )
-                index += 1
 
-        executor = ProcessExecutor(distrib, stats=self._distrib_stats)
-        outcomes = executor.run(envelopes())
-        return self._collect_outcomes(outcomes, on_error, backend="elog")
+        def slot_url(slot: Tuple[str, object]) -> Optional[str]:
+            kind, item = slot
+            return item if kind == "url" else getattr(item, "url", None)
+
+        return self._run_batch(
+            stream(), work, on_error, "elog", max_workers, workers, slot_url
+        )
 
     # ------------------------------------------------------------------
     # Pipelines

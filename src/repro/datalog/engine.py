@@ -44,7 +44,7 @@ from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set, T
 from .ast import Database, Program
 from .cache import CacheInfo, FixpointCache
 from .columns import ColumnarDatabase, StorageStats
-from .options import UNSET, EngineOptions, resolve_options
+from .options import DEFAULT_OPTIONS, EngineOptions
 from .plan import PlanMemo, RulePlan, compile_stratum
 from .registry import PlanRegistry, shared_registry
 from .stratify import stratify
@@ -151,10 +151,6 @@ class SemiNaiveEngine:
     pay one compilation; every piece of database-sized state — join-order
     memos, delta storage, the fixpoint LRU — stays instance-local.
     ``share_plans=False`` compiles privately (the ablation baseline).
-
-    The pre-façade tuning kwargs (``cache_size=``, ``share_plans=``) still
-    work but emit
-    :class:`DeprecationWarning`; new code passes ``options=``.
     """
 
     BUILTINS = {
@@ -169,20 +165,10 @@ class SemiNaiveEngine:
     def __init__(
         self,
         program: Program,
-        cache_size: object = UNSET,
-        share_plans: object = UNSET,
         *,
-        options: Optional[EngineOptions] = None,
+        options: EngineOptions = DEFAULT_OPTIONS,
         registry: Optional[PlanRegistry] = None,
     ) -> None:
-        options = resolve_options(
-            "SemiNaiveEngine",
-            options,
-            {
-                "cache_size": cache_size,
-                "share_plans": share_plans,
-            },
-        )
         program.check_safety()
         self._validate_builtins(program)
         self.program = program

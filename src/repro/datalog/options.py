@@ -14,9 +14,8 @@ declarative description of *how* to evaluate, accepted uniformly by
 :class:`~repro.mdatalog.evaluator.MonadicTreeEvaluator`, the compiled
 automata evaluators of :mod:`repro.automata.to_datalog`, and the server
 components — and owned by :class:`repro.api.Session`, which applies one
-options object to every engine it builds.  The legacy kwargs still work on
-every constructor but emit :class:`DeprecationWarning` through
-:func:`resolve_options` (the shim the constructors share).
+options object to every engine it builds.  The legacy per-constructor
+kwargs are removed: ``options=`` is the only way to tune an evaluator.
 
 The dataclass is frozen and hashable so it can key evaluator memos (the
 :mod:`repro.api` session memoises one engine per (program, options) pair,
@@ -25,22 +24,8 @@ and the automata layer keys its module-level evaluator cache by options).
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, fields, replace
-from typing import Any, Dict, Mapping
-
-
-class _Unset:
-    """Sentinel distinguishing "kwarg not passed" from an explicit value."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "UNSET"
-
-
-#: Default value of every legacy tuning kwarg: "not passed".
-UNSET = _Unset()
+from dataclasses import dataclass, replace
+from typing import Any
 
 
 @dataclass(frozen=True)
@@ -60,8 +45,6 @@ class EngineOptions:
         (rule, delta position) re-runs the greedy planner on live sizes.
         Join order never affects the fixpoint, only latency; the property
         suite asserts both settings produce identical results.
-        Options-object only: there is no legacy constructor kwarg for this
-        knob.
     share_plans:
         Obtain compiled programs (strata, rule plans, trigger maps — and, in
         the monadic layer, TMNF rewrites) from a shared
@@ -111,42 +94,3 @@ class EngineOptions:
 
 #: The default options every constructor resolves to when nothing is passed.
 DEFAULT_OPTIONS = EngineOptions()
-
-_FIELD_NAMES = frozenset(field.name for field in fields(EngineOptions))
-
-
-def resolve_options(
-    owner: str,
-    options: "EngineOptions | None",
-    legacy: Mapping[str, Any],
-) -> EngineOptions:
-    """The deprecation shim shared by every evaluator constructor.
-
-    ``legacy`` maps each pre-façade tuning kwarg to the value the caller
-    passed, or :data:`UNSET` when it was not passed.  Passing any legacy
-    kwarg still works — it is folded into an :class:`EngineOptions` — but
-    emits a :class:`DeprecationWarning` naming the replacement; mixing
-    legacy kwargs with an explicit ``options`` object is an error (the two
-    could silently disagree).
-    """
-    passed: Dict[str, Any] = {
-        name: value for name, value in legacy.items() if value is not UNSET
-    }
-    unknown = set(passed) - _FIELD_NAMES
-    if unknown:  # pragma: no cover - programming error in the caller
-        raise TypeError(f"{owner}: unknown tuning kwargs {sorted(unknown)}")
-    if not passed:
-        return options if options is not None else DEFAULT_OPTIONS
-    if options is not None:
-        raise ValueError(
-            f"{owner}: pass either options=EngineOptions(...) or the legacy "
-            f"kwargs {sorted(passed)}, not both"
-        )
-    warnings.warn(
-        f"{owner}({', '.join(sorted(passed))}=...) is deprecated; pass "
-        f"options=EngineOptions({', '.join(sorted(passed))}=...) instead "
-        "(see docs/API.md)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return EngineOptions(**passed)

@@ -26,6 +26,11 @@ replayed from the journal without re-evaluating anything.
 ``ResilienceStats`` → ``ResilienceInfo`` pattern: locked counters in the
 session, an immutable snapshot for monitoring
 (:meth:`repro.api.Session.distrib_info`).
+
+:func:`run_slots` is the batch slot runner every batch entry point shares:
+inline, on a bounded thread window, or on a :class:`ProcessExecutor`, with
+one collector applying the ``on_error`` slot semantics.  It lives here so
+:mod:`repro.server` can use it without importing :mod:`repro.api`.
 """
 
 from __future__ import annotations
@@ -34,11 +39,25 @@ import concurrent.futures
 import multiprocessing
 import threading
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Generator,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 from ..resilience.errors import WorkerCrashError
+from ..resilience.policy import ON_ERROR_POLICIES
 from .envelope import ResultEnvelope, TaskEnvelope
 from .journal import JournalState, WorkJournal
 from .worker import run_task
@@ -423,3 +442,130 @@ class ProcessExecutor:
             if journal is not None:
                 journal.close()
         return [results[index] for index in sorted(results)]
+
+
+# ---------------------------------------------------------------------------
+# The batch slot runner
+# ---------------------------------------------------------------------------
+
+#: Maps a failed in-process slot's item to its source URL (or ``None``).
+SlotUrl = Optional[Callable[[Any], Optional[str]]]
+
+
+def _attempt(
+    work: Callable[[int, Any], Any], index: int, item: Any, url: SlotUrl
+) -> ResultEnvelope:
+    """One in-process slot, shaped like a worker's :func:`run_task` reply."""
+    try:
+        return ResultEnvelope(task_id="", index=index, ok=True, result=work(index, item))
+    except Exception as error:  # noqa: BLE001 - the slot carries the error
+        return ResultEnvelope(
+            task_id="",
+            index=index,
+            ok=False,
+            error=error,
+            url=url(item) if url is not None else None,
+        )
+
+
+def _outcomes(
+    items: Iterable[Any],
+    work: Callable[[int, Any], Any],
+    max_workers: Optional[int],
+    executor: Optional[ProcessExecutor],
+    url: SlotUrl,
+) -> Generator[ResultEnvelope, None, None]:
+    """The three execution modes of :func:`run_slots`, one outcome per slot."""
+    if executor is not None:
+        yield from executor.run(work(index, item) for index, item in enumerate(items))
+    elif max_workers is not None and max_workers > 1:
+        # At most ``max_workers * 4`` slots in flight: the input is never
+        # materialised, and later slots' acquisition I/O overlaps earlier
+        # slots' evaluation.
+        window = max_workers * 4
+        with ThreadPoolExecutor(
+            max_workers=max_workers, thread_name_prefix="repro-batch"
+        ) as pool:
+            jobs: deque = deque()
+            for index, item in enumerate(items):
+                jobs.append(pool.submit(_attempt, work, index, item, url))
+                if len(jobs) >= window:
+                    yield jobs.popleft().result()
+            while jobs:
+                yield jobs.popleft().result()
+    else:
+        for index, item in enumerate(items):
+            yield _attempt(work, index, item, url)
+
+
+def _collect(
+    outcomes: Generator[ResultEnvelope, None, None],
+    on_error: str,
+    isolate: Callable[[ResultEnvelope], Any],
+) -> Iterator[Tuple[int, Any]]:
+    try:
+        for outcome in outcomes:
+            if outcome.ok:
+                yield outcome.index, outcome.result
+            elif on_error == "raise":
+                raise outcome.error
+            else:
+                slot = isolate(outcome)
+                if on_error == "collect":
+                    yield outcome.index, slot
+    finally:
+        # Shuts the thread window down (waiting for its in-flight slots)
+        # when the batch raises or the caller stops early.
+        outcomes.close()
+
+
+def run_slots(
+    items: Iterable[Any],
+    work: Callable[[int, Any], Any],
+    *,
+    on_error: str,
+    isolate: Callable[[ResultEnvelope], Any],
+    max_workers: Optional[int] = None,
+    workers: object = None,
+    stats: Optional[DistribStats] = None,
+    url: SlotUrl = None,
+) -> Iterator[Tuple[int, Any]]:
+    """Evaluate a batch into ``(index, slot)`` pairs, lazily, in index order.
+
+    The one runner behind every batch entry point
+    (:meth:`repro.api.Session.query_many`,
+    :meth:`repro.api.Session.extract_many`,
+    :meth:`repro.server.pipeline.TransformationServer.run_all`).  Three
+    modes produce the same :class:`ResultEnvelope`-shaped outcomes:
+
+    * **inline** (default): ``work(index, item)`` runs in this thread, one
+      item at a time;
+    * **threads** (``max_workers`` > 1): a thread pool with a bounded
+      window of ``max_workers * 4`` slots in flight;
+    * **processes** (``workers``: ``"process"``, a count, or
+      :class:`DistribOptions`): ``work(index, item)`` must instead return
+      the :class:`~repro.distrib.envelope.TaskEnvelope` describing the
+      slot, and a :class:`ProcessExecutor` reporting into ``stats``
+      evaluates it on a worker.
+
+    ``on_error`` is validated and interpreted here and nowhere else:
+    ``"raise"`` raises the first failed slot's error (inline stops
+    evaluating there; the thread window lets its in-flight slots finish; a
+    process batch has already drained, so this is the lowest-index
+    failure); ``"skip"`` drops failed slots; ``"collect"`` yields
+    ``isolate(outcome)`` in the failed slot.  ``isolate`` runs for every
+    failed slot under both ``"skip"`` and ``"collect"`` (it carries the
+    caller's failure accounting).  ``url(item)`` names a failed in-process
+    slot's source; worker outcomes carry the worker's own.
+
+    The arguments are checked on the call; evaluation starts with the
+    first ``next()``.
+    """
+    if on_error not in ON_ERROR_POLICIES:
+        raise ValueError(f"on_error={on_error!r}: expected one of {ON_ERROR_POLICIES}")
+    executor = None
+    if workers is not None:
+        executor = ProcessExecutor(resolve_distrib(workers), stats=stats)
+    return _collect(
+        _outcomes(items, work, max_workers, executor, url), on_error, isolate
+    )

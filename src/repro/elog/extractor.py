@@ -73,17 +73,14 @@ class PrefetchedFetcher(Fetcher):
     Wraps a base fetcher plus a ``url -> Future[Document]`` mapping:
     :meth:`fetch` resolves known URLs from their (possibly still in-flight)
     futures and delegates everything else — crawling targets discovered
-    mid-extraction — to the base fetcher.  This is how the batch paths hand
-    an unchanged :class:`Extractor` documents whose acquisition started
-    before evaluation did; fetch errors surface on resolution exactly as
-    the synchronous path would raise them.
+    mid-extraction — to the base fetcher.  This is how a prefetching
+    server component (:meth:`repro.server.components.WrapperComponent.
+    prefetch`) hands an unchanged :class:`Extractor` a page whose
+    acquisition started before evaluation did; fetch errors surface on
+    resolution exactly as the synchronous path would raise them.
     """
 
-    def __init__(
-        self,
-        base: Optional[Fetcher],
-        futures: "Mapping[str, Future[Document]]",
-    ) -> None:
+    def __init__(self, base: Fetcher, futures: "Mapping[str, Future[Document]]") -> None:
         self.base = base
         self._futures = dict(futures)
 
@@ -91,19 +88,7 @@ class PrefetchedFetcher(Fetcher):
         future = self._futures.get(url)
         if future is not None:
             return future.result()
-        if self.base is None:
-            from ..resilience.errors import PermanentFetchError
-
-            raise PermanentFetchError(f"no prefetched document for {url!r}", url=url)
         return self.base.fetch(url)
-
-    def fetch_async(self, url: str, executor: "Executor") -> "Future[Document]":
-        future = self._futures.get(url)
-        if future is not None:
-            return future
-        if self.base is not None:
-            return self.base.fetch_async(url, executor)
-        return executor.submit(self.fetch, url)
 
 
 class ExtractionError(RuntimeError):
@@ -171,8 +156,8 @@ class Extractor:
         """A twin interpreter acquiring documents through ``fetcher``.
 
         Shares the program, concepts and limits; only acquisition differs.
-        Used by the batch paths to substitute a :class:`PrefetchedFetcher`
-        without rebuilding (or re-memoising) the interpreter.
+        Used to substitute a :class:`PrefetchedFetcher` or a resilient
+        fetcher without rebuilding (or re-memoising) the interpreter.
         """
         return Extractor(
             self.program,

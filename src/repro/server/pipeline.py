@@ -16,37 +16,23 @@ activation (the scheduler advances a logical clock instead of sleeping).
 
 from __future__ import annotations
 
-import warnings
+import pickle
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..datalog.cache import CacheInfo
 from ..datalog.registry import plan_registry_info
-from ..distrib.envelope import TaskEnvelope
-from ..distrib.executor import (
-    DistribInfo,
-    DistribStats,
-    ProcessExecutor,
-    resolve_distrib,
-)
+from ..distrib.envelope import ResultEnvelope, TaskEnvelope
+from ..distrib.executor import DistribInfo, DistribStats, run_slots
 from ..distrib.journal import task_id_for
-from ..resilience.policy import ON_ERROR_POLICIES, ErrorResult
+from ..resilience.policy import ErrorResult
 from ..xmlgen.document import XmlElement
 from .components import Component, DelivererComponent
 
 
 class PipelineError(ValueError):
     """Raised on malformed pipe definitions (cycles, unknown components)."""
-
-
-def _warn_imperative_wiring(method: str) -> None:
-    warnings.warn(
-        f"{method}() imperative wiring is deprecated; declare pipelines with "
-        "repro.api.Pipeline.builder() (see docs/API.md)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 class InformationPipe:
@@ -62,11 +48,8 @@ class InformationPipe:
 
     # -- construction ------------------------------------------------------
     #
-    # The public ``add``/``connect``/``chain`` trio is the pre-façade,
-    # imperative wiring surface; it still works but emits a
-    # ``DeprecationWarning`` pointing at the declarative, build-time
-    # validated ``repro.api.Pipeline.builder()`` (which assembles pipes
-    # through the underscore internals below).
+    # Pipes are declared through ``repro.api.Pipeline.builder()``, which
+    # validates at build time and assembles them through these internals.
 
     def _add(self, component: Component) -> Component:
         if component.name in self._components:
@@ -83,20 +66,6 @@ class InformationPipe:
         self._inputs[target].append(source)
         self._order = None
 
-    def add(self, component: Component) -> Component:
-        _warn_imperative_wiring("InformationPipe.add")
-        return self._add(component)
-
-    def connect(self, source: str, target: str) -> None:
-        _warn_imperative_wiring("InformationPipe.connect")
-        self._connect(source, target)
-
-    def chain(self, *names: str) -> None:
-        """Connect the named components in a linear chain."""
-        _warn_imperative_wiring("InformationPipe.chain")
-        for source, target in zip(names, names[1:]):
-            self._connect(source, target)
-
     def component(self, name: str) -> Component:
         return self._components[name]
 
@@ -112,7 +81,7 @@ class InformationPipe:
     # -- execution -----------------------------------------------------------
     def _topological_order(self) -> List[str]:
         # The order is cached between runs (periodic server activation re-runs
-        # an unchanged DAG every tick) and invalidated by add/connect.
+        # an unchanged DAG every tick) and invalidated by _add/_connect.
         if self._order is not None:
             return self._order
         indegree = {name: len(self._inputs.get(name, [])) for name in self._components}
@@ -273,82 +242,74 @@ class TransformationServer:
         :class:`PipelineError` naming it (``Pipeline.build(
         distributable=True)`` catches this at build time, per stage).
         """
-        if on_error not in ON_ERROR_POLICIES:
-            raise ValueError(
-                f"run_all(on_error={on_error!r}): expected one of {ON_ERROR_POLICIES}"
+        names = list(self._pipes)
+        pipes = [self._pipes[name].pipe for name in names]
+        if distrib is None:
+
+            def work(index: int, pipe: InformationPipe) -> object:
+                return pipe.run()
+
+        else:
+
+            def work(index: int, pipe: InformationPipe) -> object:
+                return TaskEnvelope(
+                    task_id=task_id_for(index),
+                    index=index,
+                    kind="pipe",
+                    payload=pipe,
+                    payload_kind="pipe",
+                )
+
+        def activate(index: int) -> None:
+            scheduled = self._pipes[names[index]]
+            scheduled.next_activation = self.clock + scheduled.period
+            self.run_log.append((self.clock, names[index]))
+
+        def isolate(outcome: ResultEnvelope) -> ErrorResult:
+            activate(outcome.index)  # an isolated failure still counts as run
+            return ErrorResult.from_exception(
+                outcome.error, url=f"pipe:{names[outcome.index]}", backend="pipe"
             )
+
+        slots = run_slots(
+            pipes,
+            work,
+            on_error=on_error,
+            isolate=isolate,
+            workers=distrib,
+            stats=self._distrib_stats,
+        )
         if distrib is not None:
-            return self._run_all_distrib(on_error, resolve_distrib(distrib))
+            for name, pipe in zip(names, pipes):
+                try:
+                    pickle.dumps(pipe)
+                except Exception as error:
+                    raise PipelineError(
+                        f"pipe {name!r} cannot be distributed: it does not "
+                        f"pickle ({type(error).__name__}: {error}).  Stages "
+                        "holding lambdas, open handles or engine-bound state "
+                        "must be rebuilt from declarative parts, or the pipe "
+                        "run in-process"
+                    ) from error
         results: Dict[str, object] = {}
         try:
-            if executor is not None:
-                for scheduled in self._pipes.values():
-                    scheduled.pipe.prefetch_sources(executor)
-            for name, scheduled in self._pipes.items():
-                try:
-                    results[name] = scheduled.pipe.run()
-                except Exception as error:
-                    if on_error == "raise":
-                        raise
-                    if on_error == "collect":
-                        results[name] = ErrorResult.from_exception(
-                            error, url=f"pipe:{name}", backend="pipe"
-                        )
-                scheduled.next_activation = self.clock + scheduled.period
-                self.run_log.append((self.clock, name))
+            if executor is not None and distrib is None:
+                for pipe in pipes:
+                    pipe.prefetch_sources(executor)
+            for index, slot in slots:
+                results[names[index]] = slot
+                if not isinstance(slot, ErrorResult):
+                    # A worker-run pipe returns its results without
+                    # touching the parent's copy; later change detection
+                    # and monitoring read the last snapshot from here.
+                    pipes[index].last_results = slot
+                    activate(index)
         except BaseException:
             # One failing pipe must not strand the later pipes' prefetched
             # futures — a future tick would extract stale snapshots.
-            for scheduled in self._pipes.values():
-                scheduled.pipe.discard_prefetches()
+            for pipe in pipes:
+                pipe.discard_prefetches()
             raise
-        return results
-
-    def _run_all_distrib(self, on_error: str, options) -> Dict[str, object]:
-        """The multi-process :meth:`run_all` body (one pipe per task)."""
-        import pickle
-
-        names = list(self._pipes)
-        for name in names:
-            try:
-                pickle.dumps(self._pipes[name].pipe)
-            except Exception as error:
-                raise PipelineError(
-                    f"pipe {name!r} cannot be distributed: it does not "
-                    f"pickle ({type(error).__name__}: {error}).  Stages "
-                    "holding lambdas, open handles or engine-bound state "
-                    "must be rebuilt from declarative parts, or the pipe "
-                    "run in-process"
-                ) from error
-        envelopes = [
-            TaskEnvelope(
-                task_id=task_id_for(index),
-                index=index,
-                kind="pipe",
-                payload=self._pipes[name].pipe,
-                payload_kind="pipe",
-            )
-            for index, name in enumerate(names)
-        ]
-        executor = ProcessExecutor(options, stats=self._distrib_stats)
-        outcomes = executor.run(envelopes)
-        results: Dict[str, object] = {}
-        for name, outcome in zip(names, outcomes):
-            scheduled = self._pipes[name]
-            if outcome.ok:
-                results[name] = outcome.result
-                # The parent-side bookkeeping the in-process run() would
-                # have done: later change detection and monitoring read
-                # the pipe's last snapshot from here.
-                scheduled.pipe.last_results = outcome.result
-            elif on_error == "raise":
-                raise outcome.error
-            elif on_error == "collect":
-                results[name] = ErrorResult.from_exception(
-                    outcome.error, url=f"pipe:{name}", backend="pipe"
-                )
-            scheduled.next_activation = self.clock + scheduled.period
-            self.run_log.append((self.clock, name))
         return results
 
     # -- monitoring ----------------------------------------------------------

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro import EngineOptions
-from repro.datalog.options import DEFAULT_OPTIONS, UNSET, resolve_options
 
 
 def test_defaults_match_the_pre_facade_constructor_defaults():
@@ -37,21 +36,3 @@ def test_derive_returns_an_updated_copy():
 def test_cache_size_is_validated_at_construction():
     with pytest.raises(ValueError):
         EngineOptions(cache_size=0)
-
-
-def test_resolve_options_passthrough_and_default():
-    legacy_unset = {"share_plans": UNSET, "cache_size": UNSET}
-    assert resolve_options("X", None, legacy_unset) is DEFAULT_OPTIONS
-    explicit = EngineOptions(cache_size=3)
-    assert resolve_options("X", explicit, legacy_unset) is explicit
-
-
-def test_resolve_options_warns_on_legacy_kwargs():
-    with pytest.warns(DeprecationWarning, match="X\\(cache_size=\\.\\.\\.\\)"):
-        resolved = resolve_options("X", None, {"cache_size": 3, "share_plans": UNSET})
-    assert resolved == EngineOptions(cache_size=3)
-
-
-def test_resolve_options_rejects_mixing_options_and_legacy_kwargs():
-    with pytest.raises(ValueError, match="not both"):
-        resolve_options("X", EngineOptions(), {"cache_size": 3})

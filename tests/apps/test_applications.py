@@ -3,20 +3,13 @@
 from __future__ import annotations
 
 
+from repro import Pipeline
 from repro.elog import parse_elog
 from repro.elog.concepts import parse_number
 from repro.server import (
     ChangeDetector,
     ChangeGatedDeliverer,
-    FilterComponent,
-    InformationPipe,
-    IntegrationComponent,
-    JoinComponent,
-    RenameComponent,
     SmsDeliverer,
-    SortComponent,
-    TransformationServer,
-    WrapperComponent,
     XmlDeliverer,
 )
 from repro.web import SimulatedWeb
@@ -46,19 +39,18 @@ def test_now_playing_pipeline_joins_radio_and_charts():
     """E14: the Now Playing application (Section 6.1)."""
     web = SimulatedWeb()
     web.publish_many(now_playing_site(station_count=3, chart_count=1, seed=8))
-    pipe = InformationPipe("nowplaying")
+    builder = Pipeline.builder("nowplaying")
     names = []
     for station in stations(3, seed=8):
         name = station.name.replace(" ", "_").lower()
         names.append(name)
-        pipe.add(WrapperComponent(name, RADIO_WRAPPER, web, station.url, root_name="station"))
-    pipe.add(WrapperComponent("chart", CHART_WRAPPER, web, "charts-1.test/top", root_name="chart"))
-    pipe.add(IntegrationComponent("stations"))
-    pipe.add(JoinComponent("joined", "playing", "entry", key="song"))
-    for name in names:
-        pipe.connect(name, "stations")
-    pipe.connect("stations", "joined")
-    pipe.connect("chart", "joined")
+        builder.wrapper(name, RADIO_WRAPPER, web, station.url, root_name="station")
+    pipe = (
+        builder.wrapper("chart", CHART_WRAPPER, web, "charts-1.test/top", root_name="chart")
+        .integrate("stations", inputs=names)
+        .join("joined", "stations", "chart", "playing", "entry", key="song")
+        .build()
+    )
     results = pipe.run()
     playing = results["joined"].find_all("playing")
     assert len(playing) == 3
@@ -86,13 +78,14 @@ def test_flight_monitor_sends_sms_only_on_change():
     )
     sms = SmsDeliverer("sms", "+43 1", summarise=lambda doc: doc.full_text())
     gate = ChangeGatedDeliverer("gate", sms, ChangeDetector("flight", key="number"))
-    pipe = InformationPipe("flights")
-    pipe.add(WrapperComponent("board", wrapper, web, url, root_name="departures"))
-    pipe.add(FilterComponent("watch", "flight", lambda f: f.findtext("number") == watched))
-    pipe.add(gate)
-    pipe.chain("board", "watch", "gate")
-    server = TransformationServer()
-    server.register(pipe)
+    server = (
+        Pipeline.builder("flights")
+        .wrapper("board", wrapper, web, url, root_name="departures")
+        .filter("watch", "flight", lambda f: f.findtext("number") == watched)
+        .stage(gate)
+        .build()
+        .serve()
+    )
     server.tick(2)
     assert sms.deliveries == []
     web.publish(url, departures_page("Vienna", advance_statuses(flights, {watched: "cancelled"})))
@@ -119,15 +112,15 @@ def test_press_clipping_produces_nitf_output():
         price(S, X)   <- quote(_, S), subelem(S, (?.td, [(class, price, exact)]), X)
         """
     )
-    pipe = InformationPipe("clipping")
-    pipe.add(WrapperComponent("press", news_wrapper, web, "financial-daily.test/news", root_name="news"))
-    pipe.add(WrapperComponent("quotes", quotes_wrapper, web, "exchange.test/quotes", root_name="quotes"))
-    pipe.add(IntegrationComponent("merge", root_name="clipping"))
-    pipe.add(RenameComponent("nitf", {"article": "block", "headline": "hl1", "clipping": "nitf"}))
-    pipe.add(XmlDeliverer("deliver"))
-    pipe.connect("press", "merge")
-    pipe.connect("quotes", "merge")
-    pipe.chain("merge", "nitf", "deliver")
+    pipe = (
+        Pipeline.builder("clipping")
+        .wrapper("press", news_wrapper, web, "financial-daily.test/news", root_name="news")
+        .wrapper("quotes", quotes_wrapper, web, "exchange.test/quotes", root_name="quotes")
+        .integrate("merge", inputs=["press", "quotes"], root_name="clipping")
+        .rename("nitf", {"article": "block", "headline": "hl1", "clipping": "nitf"})
+        .deliver(XmlDeliverer("deliver"))
+        .build()
+    )
     results = pipe.run()
     nitf = results["nitf"]
     assert nitf.name == "nitf"
@@ -148,20 +141,17 @@ def test_price_monitoring_finds_cheapest_competitor():
         price(S, X)   <- offer(_, S), subelem(S, (?.td, [(class, price, exact)]), X)
         """
     )
-    pipe = InformationPipe("prices")
-    for index in range(3):
-        pipe.add(
-            WrapperComponent(
-                f"shop{index + 1}", wrapper, web,
-                f"competitor-{index + 1}.test/prices", root_name=f"shop{index + 1}",
-            )
+    builder = Pipeline.builder("prices")
+    shops = [f"shop{index + 1}" for index in range(3)]
+    for index, shop in enumerate(shops):
+        builder.wrapper(
+            shop, wrapper, web, f"competitor-{index + 1}.test/prices", root_name=shop
         )
-        pipe.connect(f"shop{index + 1}", "merge") if False else None
-    pipe.add(IntegrationComponent("merge", root_name="market"))
-    for index in range(3):
-        pipe.connect(f"shop{index + 1}", "merge")
-    pipe.add(SortComponent("cheapest_first", "offer", "price", root_name="ranking"))
-    pipe.connect("merge", "cheapest_first")
+    pipe = (
+        builder.integrate("merge", inputs=shops, root_name="market")
+        .sort("cheapest_first", "offer", "price", root_name="ranking")
+        .build()
+    )
     results = pipe.run()
     offers = results["cheapest_first"].find_all("offer")
     assert len(offers) == 18

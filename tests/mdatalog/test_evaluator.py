@@ -30,7 +30,7 @@ def test_ground_pipeline_and_generic_agree_on_recursive_program():
         """,
     )
     fast = MonadicTreeEvaluator(program)
-    slow = MonadicTreeEvaluator(program, force_generic=True)
+    slow = MonadicTreeEvaluator(program, options=EngineOptions(force_generic=True))
     assert fast.uses_ground_pipeline
     assert not slow.uses_ground_pipeline
     for seed in range(4):
@@ -143,7 +143,7 @@ def test_generic_path_observes_document_mutation():
     # The tree EDB is rebuilt per evaluate() call, so relabelling a node
     # between calls must be reflected (the fixpoint cache is content-keyed).
     program = MonadicProgram.parse("hit(X) :- label_b(X).")
-    evaluator = MonadicTreeEvaluator(program, force_generic=True)
+    evaluator = MonadicTreeEvaluator(program, options=EngineOptions(force_generic=True))
     document = tree(("a", ("b",), ("c",)))
     assert indexes(evaluator.evaluate(document)["hit"]) == {1}
     document.node_at(2).label = "b"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.datalog import EngineOptions
 from repro.datalog.parser import parse_rules
 from repro.mdatalog import (
     MonadicProgram,
@@ -25,12 +26,8 @@ def selection(program, document, predicate):
 
 
 def generic_selection(program, document, predicate):
-    return {
-        node.preorder_index
-        for node in MonadicTreeEvaluator(program, force_generic=True).select(
-            document, predicate
-        )
-    }
+    evaluator = MonadicTreeEvaluator(program, options=EngineOptions(force_generic=True))
+    return {node.preorder_index for node in evaluator.select(document, predicate)}
 
 
 def test_rule_tmnf_form_classification():

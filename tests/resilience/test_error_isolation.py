@@ -4,7 +4,9 @@
 ``TransformationServer.run_all`` accept ``on_error="raise"|"skip"|"collect"``:
 one poisoned slot must not abort the other N-1, and under ``"collect"`` the
 failed slot comes back as an :class:`ErrorResult` in place, so result order
-still matches the input order — sequential and ``max_workers=`` paths alike.
+still matches the input order — in every mode of the one batch slot runner
+(inline, ``max_workers=`` threads, ``workers=`` processes; sequence or
+generator input alike).
 """
 
 from __future__ import annotations
@@ -124,6 +126,83 @@ def test_query_many_isolates_the_poisoned_slot(backend, max_workers, documents):
     assert [_comparable(s) for s in skipped] == [_comparable(c) for c in clean]
 
     assert session.resilience_info().errors_isolated == 2
+
+
+#: Every batch execution mode: (name, input shape, dispatch kwargs).  The
+#: generator shapes reach the bounded streaming window; ``workers=2`` runs
+#: the batch on worker processes.
+MODES = [
+    ("sequence", list, {}),
+    ("sequence-threads", list, {"max_workers": 8}),
+    ("generator", iter, {}),
+    ("generator-threads", iter, {"max_workers": 8}),
+    ("process", list, {"workers": 2}),
+]
+
+
+def _observe_every_policy(batch, comparable):
+    """One fresh session per mode: each policy's slot signatures (or the
+    exception type ``"raise"`` surfaced), plus the isolation count."""
+    session = Session()
+    observed = {}
+    for policy in ("raise", "skip", "collect"):
+        try:
+            slots = batch(session, policy)
+        except Exception as error:
+            observed[policy] = type(error)
+            continue
+        observed[policy] = [
+            ("error", slot.index, slot.url, slot.backend)
+            if isinstance(slot, ErrorResult)
+            else ("ok", comparable(slot))
+            for slot in slots
+        ]
+    observed["errors_isolated"] = session.resilience_info().errors_isolated
+    return observed
+
+
+@pytest.mark.parametrize("backend", ["semi-naive", "monadic", "automata"])
+def test_query_many_slots_agree_across_every_mode(backend, documents):
+    good = _query_sources(backend, documents)
+    poisoned = [good[0], object(), good[1], good[2]]
+
+    def batch(shape, dispatch):
+        return lambda session, policy: session.query_many(
+            _program(backend), shape(poisoned), backend, on_error=policy,
+            **dispatch, **_query_kwargs(backend),
+        )
+
+    observed = {
+        name: _observe_every_policy(batch(shape, dispatch), _comparable)
+        for name, shape, dispatch in MODES
+    }
+    reference = observed["sequence"]
+    assert reference["collect"][1] == ("error", 1, None, backend)
+    assert reference["errors_isolated"] == 2
+    assert all(modal == reference for modal in observed.values()), observed
+
+
+def test_extract_many_slots_agree_across_every_mode(web):
+    documents = [web.fetch("books-b.test/chart")]
+    urls = ["books-a.test/bestsellers", "gone.test/nowhere", "books-b.test/chart"]
+
+    def batch(shape, dispatch):
+        return lambda session, policy: session.extract_many(
+            WRAPPER, shape(documents), urls=shape(urls), fetcher=web,
+            on_error=policy, **dispatch,
+        )
+
+    def titles(result):
+        return result.texts("title")
+
+    observed = {
+        name: _observe_every_policy(batch(shape, dispatch), titles)
+        for name, shape, dispatch in MODES
+    }
+    reference = observed["sequence"]
+    assert issubclass(reference["raise"], FetchError)
+    assert reference["collect"][2] == ("error", 2, "gone.test/nowhere", "elog")
+    assert all(modal == reference for modal in observed.values()), observed
 
 
 def test_query_many_rejects_unknown_on_error(documents):

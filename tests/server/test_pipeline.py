@@ -4,22 +4,17 @@ from __future__ import annotations
 
 import pytest
 
+from repro import EngineOptions, Pipeline
 from repro.elog import parse_elog
 from repro.mdatalog import MonadicProgram
 from repro.server import (
     ChangeDetector,
     ChangeGatedDeliverer,
     DatalogQueryComponent,
-    FilterComponent,
     InformationPipe,
-    IntegrationComponent,
-    JoinComponent,
     PipelineError,
-    RenameComponent,
     SmsDeliverer,
-    SortComponent,
     TransformationServer,
-    TransformerComponent,
     WrapperComponent,
     XmlDeliverer,
     XmlSourceComponent,
@@ -39,13 +34,15 @@ def make_catalog(*pairs):
 
 
 def test_pipe_topological_execution_and_results():
-    pipe = InformationPipe("books")
-    pipe.add(XmlSourceComponent("source", lambda: make_catalog(("A", 10), ("B", 30), ("C", 20))))
-    pipe.add(FilterComponent("cheap", "book", lambda b: float(b.findtext("price")) <= 20,
-                             root_name="cheap"))
-    pipe.add(SortComponent("sorted", "book", "price", root_name="sorted"))
-    pipe.add(XmlDeliverer("out"))
-    pipe.chain("source", "cheap", "sorted", "out")
+    pipe = (
+        Pipeline.builder("books")
+        .source("source", lambda: make_catalog(("A", 10), ("B", 30), ("C", 20)))
+        .filter("cheap", "book", lambda b: float(b.findtext("price")) <= 20,
+                root_name="cheap")
+        .sort("sorted", "book", "price", root_name="sorted")
+        .deliver(XmlDeliverer("out"))
+        .build()
+    )
     results = pipe.run()
     titles = [b.findtext("title") for b in results["sorted"].find_all("book")]
     assert titles == ["A", "C"]
@@ -54,17 +51,18 @@ def test_pipe_topological_execution_and_results():
 
 
 def test_pipe_rejects_cycles_and_duplicates():
-    pipe = InformationPipe("p")
-    pipe.add(XmlSourceComponent("a", lambda: XmlElement("x")))
-    pipe.add(TransformerComponent("b", lambda d: d))
-    pipe.connect("a", "b")
-    pipe.connect("b", "a")
-    with pytest.raises(PipelineError):
-        pipe.run()
-    with pytest.raises(PipelineError):
-        pipe.add(XmlSourceComponent("a", lambda: XmlElement("x")))
-    with pytest.raises(PipelineError):
-        pipe.connect("a", "missing")
+    builder = (
+        Pipeline.builder("p")
+        .source("a", lambda: XmlElement("x"))
+        .transform("b", lambda d: d)
+        .connect("b", "a")
+    )
+    with pytest.raises(PipelineError, match="cycle"):
+        builder.build()
+    with pytest.raises(PipelineError, match="duplicate"):
+        builder.source("a", lambda: XmlElement("x"))
+    with pytest.raises(PipelineError, match="unknown"):
+        builder.connect("a", "missing")
 
 
 def test_integration_and_join_components():
@@ -76,15 +74,14 @@ def test_integration_and_join_components():
         review.add("stars", text=str(stars))
     right = XmlSourceComponent("right", lambda: right_root)
 
-    pipe = InformationPipe("joined")
-    pipe.add(left)
-    pipe.add(right)
-    pipe.add(IntegrationComponent("merge"))
-    pipe.add(JoinComponent("join", "book", "review", key="title"))
-    pipe.connect("left", "merge")
-    pipe.connect("right", "merge")
-    pipe.connect("left", "join")
-    pipe.connect("right", "join")
+    pipe = (
+        Pipeline.builder("joined")
+        .stage(left, is_source=True)
+        .stage(right, is_source=True)
+        .integrate("merge", inputs=["left", "right"])
+        .join("join", "left", "right", "book", "review", key="title")
+        .build()
+    )
     results = pipe.run()
     assert len(results["merge"].children) == 2
     joined_books = results["join"].find_all("book")
@@ -94,12 +91,12 @@ def test_integration_and_join_components():
 
 
 def test_rename_component_maps_to_nitf():
-    source = XmlSourceComponent("s", lambda: make_catalog(("A", 1)))
-    rename = RenameComponent("nitf", {"catalog": "nitf", "book": "block", "title": "hl1"})
-    pipe = InformationPipe("nitf-pipe")
-    pipe.add(source)
-    pipe.add(rename)
-    pipe.connect("s", "nitf")
+    pipe = (
+        Pipeline.builder("nitf-pipe")
+        .source("s", lambda: make_catalog(("A", 1)))
+        .rename("nitf", {"catalog": "nitf", "book": "block", "title": "hl1"})
+        .build()
+    )
     result = pipe.run()["nitf"]
     assert result.name == "nitf"
     assert result.find("block") is not None
@@ -116,10 +113,12 @@ def test_wrapper_component_runs_elog_program():
         price(S, X) <- book(_, S), subelem(S, (?.td, [(class, price, exact)]), X)
         """
     )
-    pipe = InformationPipe("shop-a")
-    pipe.add(WrapperComponent("wrap", program, web, "books-a.test/bestsellers", root_name="books"))
-    pipe.add(XmlDeliverer("deliver"))
-    pipe.connect("wrap", "deliver")
+    pipe = (
+        Pipeline.builder("shop-a")
+        .wrapper("wrap", program, web, "books-a.test/bestsellers", root_name="books")
+        .deliver(XmlDeliverer("deliver"))
+        .build()
+    )
     results = pipe.run()
     books = results["wrap"].find_all("book")
     assert len(books) == 4
@@ -157,10 +156,10 @@ def test_datalog_query_component_serves_hot_documents_from_cache():
         "hit(X) :- label_b(X).", query_predicates=["hit"]
     )
     component = DatalogQueryComponent(
-        "wrap", program, supplier, cache_size=4, force_generic=True
+        "wrap", program, supplier,
+        options=EngineOptions(cache_size=4, force_generic=True),
     )
-    pipe = InformationPipe("datalog")
-    pipe.add(component)
+    pipe = Pipeline.builder("datalog").stage(component, is_source=True).build()
 
     expected = []
     for document in documents:
@@ -191,7 +190,8 @@ def test_datalog_query_component_ground_pipeline_caches_by_content():
         "hit(X) :- label_b(X).", query_predicates=["hit"]
     )
     component = DatalogQueryComponent(
-        "wrap", program, lambda: tree(("doc", ("b",), ("a",))), cache_size=4
+        "wrap", program, lambda: tree(("doc", ("b",), ("a",))),
+        options=EngineOptions(cache_size=4),
     )
     # The supplier builds an equal-but-distinct document per call; the
     # ground pipeline's tree-fingerprint LRU must still hit.
@@ -218,12 +218,13 @@ def test_join_component_skips_keyless_records():
     keyless_review = right_root.add("review")
     keyless_review.add("stars", text="1")
 
-    pipe = InformationPipe("joined")
-    pipe.add(XmlSourceComponent("left", lambda: left_root))
-    pipe.add(XmlSourceComponent("right", lambda: right_root))
-    pipe.add(JoinComponent("join", "book", "review", key="title"))
-    pipe.connect("left", "join")
-    pipe.connect("right", "join")
+    pipe = (
+        Pipeline.builder("joined")
+        .source("left", lambda: left_root)
+        .source("right", lambda: right_root)
+        .join("join", "left", "right", "book", "review", key="title")
+        .build()
+    )
     books = pipe.run()["join"].find_all("book")
     assert len(books) == 3  # keyless primaries still pass through, unjoined
     assert books[0].find("review") is not None
@@ -251,10 +252,8 @@ def test_transformation_server_scheduling():
         counter["runs"] += 1
         return XmlElement("tickdoc")
 
-    fast = InformationPipe("fast")
-    fast.add(XmlSourceComponent("s", supply))
-    slow = InformationPipe("slow")
-    slow.add(XmlSourceComponent("s", supply))
+    fast = Pipeline.builder("fast").source("s", supply).build().pipe
+    slow = Pipeline.builder("slow").source("s", supply).build().pipe
 
     server = TransformationServer()
     server.register(fast, period=1)
@@ -276,10 +275,7 @@ def test_run_all_goes_through_scheduler_bookkeeping():
         counter["runs"] += 1
         return XmlElement("doc")
 
-    pipe = InformationPipe("p")
-    pipe.add(XmlSourceComponent("s", supply))
-    server = TransformationServer()
-    server.register(pipe, period=2)
+    server = Pipeline.builder("p").source("s", supply).build().serve(period=2)
 
     results = server.run_all()
     assert set(results) == {"p"} and counter["runs"] == 1
@@ -320,7 +316,8 @@ def test_wrapper_components_share_one_interpreter_per_program():
     shared_b = WrapperComponent("b", program, web, "books-a.test/bestsellers")
     assert shared_a._extractor is shared_b._extractor
     private = WrapperComponent(
-        "c", program, web, "books-a.test/bestsellers", share_interpreter=False
+        "c", program, web, "books-a.test/bestsellers",
+        options=EngineOptions(share_plans=False),
     )
     assert private._extractor is not shared_a._extractor
     # Another program gets its own interpreter.
